@@ -46,6 +46,7 @@ from typing import Dict, List, Tuple
 from repro.bench.reporting import print_table, write_json
 from repro.core.fragment_graph import FragmentGraph
 from repro.core.fragment_index import InvertedFragmentIndex
+from repro.core.fragments import identifier_order
 from repro.core.scoring import DashScorer
 from repro.core.search import TopKSearcher
 from repro.core.urls import UrlFormulator
@@ -72,16 +73,6 @@ HOT_KEYWORDS = ("burger", "noodle", "coffee")
 # ----------------------------------------------------------------------
 # the seed implementation's search loop (the measured baseline)
 # ----------------------------------------------------------------------
-def _seed_identifier_order(identifier):
-    """The seed's identifier ordering, uncached (the current one memoises)."""
-    return tuple(
-        (0, "") if component is None
-        else (1, float(component)) if isinstance(component, (int, float)) and not isinstance(component, bool)
-        else (2, str(component))
-        for component in identifier
-    )
-
-
 class SeedTopKSearcher:
     """Replica of the pre-store search path: every seed is scored and pushed
     individually, and each expansion candidate re-scores the whole page."""
@@ -130,7 +121,7 @@ class SeedTopKSearcher:
         def preference(candidate):
             relevant = scorer.fragment_is_relevant(candidate)
             resulting_score = scorer.score(self._ordered(fragments + (candidate,)))
-            return (0 if relevant else 1, -resulting_score, _seed_identifier_order(candidate))
+            return (0 if relevant else 1, -resulting_score, identifier_order(candidate))
 
         unique_candidates.sort(key=preference)
         return unique_candidates[0]
@@ -140,7 +131,7 @@ class SeedTopKSearcher:
 
     @staticmethod
     def _ordered(fragments):
-        return tuple(sorted(set(fragments), key=_seed_identifier_order))
+        return tuple(sorted(set(fragments), key=identifier_order))
 
 
 # ----------------------------------------------------------------------

@@ -105,8 +105,8 @@ class DashEngine:
                 application_uri=application.uri,
             ),
         )
-        # One long-lived session per engine: scorers and neighbour lists are
-        # reused across searches and invalidated by the store's mutation epoch.
+        # One long-lived session per engine: scorers are reused across
+        # searches and invalidated by the store's mutation epoch.
         self._session = self._searcher.session()
 
     # ------------------------------------------------------------------

@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.core.fragments import FragmentId
+from repro.core.fragments import FragmentId, identifier_order
 from repro.db.query import BetweenCondition, ParameterizedPSJQuery
 from repro.db.types import compare_values
 from repro.store.base import FragmentStore
@@ -96,8 +96,8 @@ class FragmentGraph:
 
         def group_then_range(identifier: FragmentId):
             return (
-                tuple(_orderable(component) for component in graph._equality_key(identifier)),
-                tuple(_orderable(component) for component in graph._range_key(identifier)),
+                identifier_order(graph._equality_key(identifier)),
+                identifier_order(graph._range_key(identifier)),
             )
 
         identifiers = sorted((tuple(identifier) for identifier in fragment_sizes), key=group_then_range)
@@ -202,9 +202,6 @@ class FragmentGraph:
                 return comparison
         return 0
 
-    def _sort_key(self, identifier: FragmentId):
-        return tuple(_orderable(component) for component in identifier)
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -224,7 +221,7 @@ class FragmentGraph:
             neighbors = self._store.neighbors(identifier)
         except KeyError:
             raise FragmentGraphError(f"unknown fragment {identifier!r}") from None
-        return tuple(sorted(neighbors, key=self._sort_key))
+        return tuple(sorted(neighbors, key=identifier_order))
 
     def are_connected(self, left: FragmentId, right: FragmentId) -> bool:
         left = tuple(left)
@@ -256,14 +253,14 @@ class FragmentGraph:
                 if neighbor not in seen:
                     seen.add(neighbor)
                     frontier.append(neighbor)
-        return tuple(sorted(seen, key=self._sort_key))
+        return tuple(sorted(seen, key=identifier_order))
 
     def remove_fragment(self, identifier: FragmentId) -> None:
         """Remove a fragment, reconnecting its neighbours (incremental deletes)."""
         identifier = tuple(identifier)
         if not self._store.has_node(identifier):
             return
-        neighbors = sorted(self._store.neighbors(identifier), key=self._sort_key)
+        neighbors = sorted(self._store.neighbors(identifier), key=identifier_order)
         for neighbor in neighbors:
             self._store.discard_neighbor(neighbor, identifier)
         # Reconnect the two range-order neighbours so the chain stays intact.
@@ -290,12 +287,3 @@ def _condition_positions(query: ParameterizedPSJQuery) -> Tuple[Tuple[int, ...],
             equality.append(position)
     return tuple(equality), tuple(ranges)
 
-
-def _orderable(component) -> Tuple[int, object]:
-    if component is None:
-        return (0, "")
-    if isinstance(component, bool):
-        return (1, float(component))
-    if isinstance(component, (int, float)):
-        return (1, float(component))
-    return (2, str(component))

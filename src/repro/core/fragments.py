@@ -30,6 +30,27 @@ from repro.text.tokenizer import count_keywords, tokenize
 FragmentId = Tuple[Any, ...]
 
 
+def identifier_order(identifier: FragmentId) -> Tuple[Tuple[int, Any], ...]:
+    """The one total order over fragment identifiers.
+
+    Page members, fragment-graph neighbour lists and the search queue's
+    tie-breaks all sort by this key: per component, ``None`` first, then
+    numbers by value (``bool`` is an ``int`` — ``True`` orders, and as a dict
+    key *is*, ``1``), then everything else by its ``str``.  Numbers compare
+    as themselves, not through ``float``, so integers beyond 2**53 stay
+    apart.  Over the supported component types (``None``, ``bool``, ``int``,
+    non-NaN ``float``, ``str``) two identifiers share a key only when they
+    are equal — the same fragment — so a minimum taken under this key does
+    not depend on the order its candidates were visited in.
+    """
+    return tuple(
+        (0, "") if component is None
+        else (1, component) if isinstance(component, (int, float))
+        else (2, str(component))
+        for component in identifier
+    )
+
+
 @dataclass
 class Fragment:
     """One db-page fragment.

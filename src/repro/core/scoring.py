@@ -16,12 +16,13 @@ Dash modifies the classic TF/IDF scheme in two ways:
 
 Besides the reference :meth:`DashScorer.score`, the scorer exposes an
 incremental path for the top-k search hot loop: a pending db-page is carried
-as a :class:`PageStats` (per-query-keyword occurrence totals plus page size,
-all integers), extending a page by one candidate fragment costs ``O(|W|)``
-instead of ``O(|W| * |page|)``, and :meth:`seed_scores` scores every relevant
-fragment in one pass over the inverted lists.  Occurrence totals and sizes
-are exact integers and the keyword accumulation order matches
-:meth:`score`, so the incremental path produces bit-identical floats.
+as its per-query-keyword occurrence totals plus its size (all integers; the
+public value form is :class:`PageStats`), extending a page by one candidate
+fragment costs ``O(|W|)`` instead of ``O(|W| * |page|)``, and
+:meth:`seed_scores` scores every relevant fragment in one pass over the
+inverted lists.  Occurrence totals and sizes are exact integers and the
+keyword accumulation order matches :meth:`score`, so the incremental path
+produces bit-identical floats.
 """
 
 from __future__ import annotations
@@ -176,7 +177,8 @@ class DashScorer:
         # authoritative for the public idf() accessor).
         self._idf_list: Tuple[float, ...] = tuple(self._idf[keyword] for keyword in self.keywords)
 
-    def _size_of(self, identifier: FragmentId) -> int:
+    def size_of(self, identifier: FragmentId) -> int:
+        """One fragment's keyword count (a point read on first use, then memoised)."""
         size = self._sizes.get(identifier)
         if size is None:
             size = self.index.fragment_size(identifier)
@@ -188,7 +190,7 @@ class DashScorer:
 
         One chunked/fanned-out store read instead of a per-fragment lookup —
         the searcher calls this for every batch of seeds it materializes.
-        Expansion candidates deliberately stay on the lazy ``_size_of``
+        Expansion candidates deliberately stay on the lazy :meth:`size_of`
         fallback: the bound pruning skips most of them before their size is
         ever needed, so batching there would read sizes the search then
         throws away.
@@ -351,13 +353,12 @@ class DashScorer:
         return tuple(seen)
 
     def occurrences(self, keyword: str, identifier: FragmentId) -> int:
-        identifier = tuple(identifier)
         self._ensure_one(identifier)
         return self._occurrences.get(keyword.lower(), {}).get(identifier, 0)
 
     def page_size(self, fragments: Sequence[FragmentId]) -> int:
         """Total keyword count of a page assembled from ``fragments``."""
-        return sum(self._size_of(tuple(identifier)) for identifier in fragments)
+        return sum(self.size_of(tuple(identifier)) for identifier in fragments)
 
     def page_occurrences(self, fragments: Sequence[FragmentId]) -> Dict[str, int]:
         """Per-query-keyword occurrence counts of the assembled page."""
@@ -382,7 +383,6 @@ class DashScorer:
 
     def fragment_is_relevant(self, identifier: FragmentId) -> bool:
         """Whether ``identifier`` contains any query keyword."""
-        identifier = tuple(identifier)
         if identifier in self._relevant:
             # A hit in the partially-filled set is already definitive:
             # presence implies at least one occurrence, known vector or not.
@@ -408,7 +408,7 @@ class DashScorer:
         for keyword in self.keywords:
             idf = self._idf[keyword]
             for identifier, occurrences in self._occurrences[keyword].items():
-                size = self._size_of(identifier)
+                size = self.size_of(identifier)
                 if size > 0:
                     scores[identifier] = scores.get(identifier, 0.0) + (occurrences / size) * idf
                 else:
@@ -426,7 +426,7 @@ class DashScorer:
         self.ensure_known(identifiers)
         scores: Dict[FragmentId, float] = {}
         for identifier in identifiers:
-            size = self._size_of(identifier)
+            size = self.size_of(identifier)
             total = 0.0
             if size > 0:
                 for per_fragment, idf in zip(self._occ_maps, self._idf_list):
@@ -472,29 +472,24 @@ class DashScorer:
             }
         return self._seed_bounds
 
-    def extended_score_bound(self, stats: PageStats, candidate: FragmentId) -> float:
-        """An admissible bound on the page's score once ``candidate`` joins.
+    def score_bound(self, occurrences: Sequence[int], least_size: int) -> float:
+        """An admissible bound on a page's score from a floor on its size.
 
-        Uses only the gathered occurrence counts: the candidate's size is at
-        least its query-keyword occurrence total, so substituting that total
-        for the (unread) size bounds the exact extended score from above.
-        Lets the expansion loop discard candidates that cannot beat the best
-        one found so far without touching the store for their sizes.
+        The expansion loop calls this with a page's totals already extended
+        by a candidate and ``least_size`` = the page's size plus the
+        candidate's query-keyword occurrence total: the candidate's size is
+        at least that total, so the exact extended score cannot exceed the
+        bound, and a candidate that cannot beat the best one found so far
+        is discarded without touching the store for its size.
         """
-        if self._lazy and not self._complete and candidate not in self._known:
-            self._fetch_vectors((candidate,))
-        added = 0
-        weighted = 0.0
-        for per_fragment, idf, total in zip(self._occ_maps, self._idf_list, stats.occurrences):
-            occurrences = per_fragment.get(candidate, 0)
-            weighted += (total + occurrences) * idf
-            added += occurrences
-        denominator = stats.size + added
-        if denominator <= 0:
+        if least_size <= 0:
             # Neither the page nor the candidate holds any query keyword:
             # the exact extended score is 0 whatever the candidate's size.
             return 0.0
-        return (weighted / denominator) * _BOUND_INFLATION
+        weighted = 0.0
+        for idf, total in zip(self._idf_list, occurrences):
+            weighted += total * idf
+        return (weighted / least_size) * _BOUND_INFLATION
 
     def page_stats(self, fragments: Sequence[FragmentId]) -> PageStats:
         """The integer statistics of the page assembled from ``fragments``."""
@@ -506,27 +501,40 @@ class DashScorer:
         )
         return PageStats(occurrences=occurrences, size=self.page_size(fragments))
 
-    def extended_stats(self, stats: PageStats, candidate: FragmentId) -> PageStats:
-        """Statistics of ``stats``'s page extended by ``candidate`` — O(|W|)."""
-        if self._lazy and not self._complete and candidate not in self._known:
-            self._fetch_vectors((candidate,))
-        occurrences = tuple(
-            total + per_fragment.get(candidate, 0)
-            for per_fragment, total in zip(self._occ_maps, stats.occurrences)
+    def fragment_totals(self, identifier: FragmentId) -> Tuple[Tuple[int, ...], int]:
+        """``page_stats((identifier,))`` as a bare ``(occurrences, size)`` pair."""
+        self._ensure_one(identifier)
+        return (
+            tuple(per_fragment.get(identifier, 0) for per_fragment in self._occ_maps),
+            self.size_of(identifier),
         )
-        return PageStats(occurrences=occurrences, size=stats.size + self._size_of(candidate))
 
-    def score_from_stats(self, stats: PageStats) -> float:
-        """The page's TF/IDF relevance, from precomputed statistics.
+    def relevant_among(self, identifiers: Iterable[FragmentId]) -> List[FragmentId]:
+        """The ``identifiers`` containing a query keyword (one batched read)."""
+        self.ensure_known(identifiers)
+        relevant = self._relevant
+        return [identifier for identifier in identifiers if identifier in relevant]
+
+    def extended_occurrences(
+        self, occurrences: Sequence[int], candidate: FragmentId
+    ) -> Tuple[int, ...]:
+        """``occurrences`` of a page once ``candidate`` joins it — O(|W|)."""
+        self._ensure_one(candidate)
+        return tuple(
+            total + per_fragment.get(candidate, 0)
+            for per_fragment, total in zip(self._occ_maps, occurrences)
+        )
+
+    def score_totals(self, occurrences: Sequence[int], size: int) -> float:
+        """A page's TF/IDF relevance from its occurrence totals and size.
 
         Accumulates in the same keyword order as :meth:`score`, over the same
         exact integer totals, so the result is bit-identical.
         """
-        if stats.size <= 0:
+        if size <= 0:
             return 0.0
         total = 0.0
-        size = stats.size
-        for idf, occurrences in zip(self._idf_list, stats.occurrences):
-            if occurrences:
-                total += (occurrences / size) * idf
+        for idf, count in zip(self._idf_list, occurrences):
+            if count:
+                total += (count / size) * idf
         return total

@@ -35,12 +35,13 @@ Four implementation notes beyond the paper's pseudo-code:
   and size reads per query.  The same argument prunes expansion candidates:
   an irrelevant candidate can never out-prefer a relevant one (the
   relevance tier dominates the preference order), and a relevant candidate
-  whose :meth:`~repro.core.scoring.DashScorer.extended_score_bound` cannot
-  beat the best candidate found so far is skipped without reading its size.
+  whose :meth:`~repro.core.scoring.DashScorer.score_bound` cannot beat the
+  best candidate found so far is skipped without reading its size.
   ``SearchStatistics`` counts both the pruned and the decoded work;
   construct the searcher with ``early_termination=False`` for the
-  bound-free exhaustive reference (the property suite checks the two
-  byte-identical).
+  score-every-seed reference, which reads whole inverted lists up front and
+  shares only the expand-and-requeue step (the property suite checks the
+  two byte-identical, and both against ``tests/oracle.py``).
 * **Sharded seeding** — on a partitioned
   :class:`~repro.store.FragmentStore`, materialization batches read their
   sizes through ``fragment_sizes_for`` (one fan-out per batch); the
@@ -48,11 +49,16 @@ Four implementation notes beyond the paper's pseudo-code:
   parallel fan-out.  Heap order depends only on the ``(score, seed
   position)`` keys, so any shard count dequeues in exactly the single-shard
   order.
-* **Incremental page statistics** — every pending db-page carries its exact
-  integer occurrence totals and size (:class:`~repro.core.scoring.PageStats`),
-  so evaluating an expansion candidate costs ``O(|W|)`` instead of
-  re-scoring the whole page.  Scores come out bit-identical to the
-  reference :meth:`~repro.core.scoring.DashScorer.score`.
+* **Pending-page state** — a queued db-page is more than its member tuple:
+  a :class:`_PendingPage` record rides with it from its first dequeue to its
+  emission, holding the page's exact integer occurrence totals and size, its
+  members' identifier-order keys and its *expansion frontier* (the
+  combinable non-members).  Expanding by a candidate updates the record in
+  place — one ``bisect`` insertion, the candidate's own neighbours merged
+  into the frontier — so a dequeue costs ``O(deg + |W|)`` however large the
+  page has grown, and a candidate that adds no query keyword reuses the
+  totals untouched.  Scores come out bit-identical to the reference
+  :meth:`~repro.core.scoring.DashScorer.score`.
 * **Resumable streams** — the dequeue loop lives in :class:`SearchStream`:
   ``peek_entry`` exposes the exact key of the next dequeue (materializing
   just enough blocks for that key to be final) and ``next_result`` processes
@@ -69,14 +75,15 @@ import heapq
 import itertools
 import threading
 import time
+from bisect import bisect
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.core.fragment_graph import FragmentGraph
 from repro.core.fragment_index import InvertedFragmentIndex
-from repro.core.fragments import FragmentId
-from repro.core.scoring import DashScorer, PageStats
+from repro.core.fragments import FragmentId, identifier_order
+from repro.core.scoring import DashScorer
 from repro.core.urls import UrlFormulator
 
 #: One priority-queue entry: (negated score, tie-break, fragments).  The
@@ -154,9 +161,9 @@ class SearchStatistics:
     ``postings_decoded`` totals the entries the decoded blocks yielded.
     ``pruned_expansions`` counts expansion-candidate evaluations skipped by
     the relevance tier or by
-    :meth:`~repro.core.scoring.DashScorer.extended_score_bound`.  The
-    pruned and block counters stay 0 on an ``early_termination=False``
-    searcher (the exhaustive path reads whole lists, not blocks).
+    :meth:`~repro.core.scoring.DashScorer.score_bound`.  The pruned and
+    block counters stay 0 on an ``early_termination=False`` searcher (the
+    reference mode reads whole lists, not blocks, and reports no pruning).
 
     The fan-out counters are filled in by the cluster's scatter-gather
     router (:class:`~repro.cluster.QueryRouter`) and stay 0 on a
@@ -239,36 +246,65 @@ class DetailedSearch:
     statistics: SearchStatistics
 
 
+class _IdentifierCache:
+    """Order keys and sorted neighbour lists of one searcher, for one epoch.
+
+    Both depend only on the identifier and the adjacency at one epoch, so
+    every stream of a searcher — a session's, a bare ``search`` call's, the
+    cluster router's ``idf_overrides`` streams — shares one instance.
+    :meth:`TopKSearcher._shared_identifiers` replaces (never clears) it when
+    the epoch moves or the neighbour map outgrows its capacity: a search in
+    flight keeps a consistent cache, and neither map outlives the fragments
+    it was filled from.  Plain dict reads and writes — concurrent streams
+    may compute an entry twice, never see a torn one.
+    """
+
+    __slots__ = ("epoch", "orders", "neighbors", "_graph")
+
+    def __init__(self, graph: FragmentGraph, epoch: int) -> None:
+        self.epoch = epoch
+        self.orders: Dict[FragmentId, Tuple] = {}
+        self.neighbors: Dict[FragmentId, Tuple[FragmentId, ...]] = {}
+        self._graph = graph
+
+    def order(self, identifier: FragmentId) -> Tuple:
+        """:func:`~repro.core.fragments.identifier_order`, memoised."""
+        key = self.orders.get(identifier)
+        if key is None:
+            key = self.orders[identifier] = identifier_order(identifier)
+        return key
+
+    def neighbors_of(self, identifier: FragmentId) -> Tuple[FragmentId, ...]:
+        """The graph's sorted neighbour list, memoised."""
+        neighbors = self.neighbors.get(identifier)
+        if neighbors is None:
+            neighbors = self.neighbors[identifier] = self._graph.neighbors(identifier)
+        return neighbors
+
+
 class SearchSession:
-    """Reusable cross-search state for one searcher, epoch-invalidated.
+    """Reusable cross-search scorers for one searcher, epoch-invalidated.
 
-    Without a session every :meth:`TopKSearcher.search` call rebuilds its
-    per-search caches from scratch: a :class:`DashScorer` (IDF table, gathered
-    inverted lists, fragment sizes) and a fragment→neighbours map.  A session
-    keeps both across calls — scorers in a small LRU keyed by the canonical
-    keyword tuple, neighbour lists in a shared map — and drops everything the
-    moment the store's mutation epoch moves, so reuse never outlives the data
-    it was computed from.
+    Without a session every :meth:`TopKSearcher.search` call builds its
+    :class:`DashScorer` (IDF table, gathered inverted lists, fragment sizes)
+    from scratch.  A session keeps scorers across calls in a small LRU keyed
+    by the canonical keyword tuple, and drops them the moment the store's
+    mutation epoch moves, so reuse never outlives the data it was computed
+    from.  (Sorted neighbour lists are shared too, but by the searcher
+    itself — see :class:`_IdentifierCache`.)
 
-    Safe for concurrent searches: the caches are guarded by a lock for
+    Safe for concurrent searches: the cache is guarded by a lock for
     compound operations, and a search that raced a store mutation stamps its
     output with the pre-mutation epoch, which the serving cache then refuses
     to keep.
     """
 
-    def __init__(
-        self,
-        searcher: "TopKSearcher",
-        scorer_capacity: int = 64,
-        neighbor_capacity: int = 65536,
-    ) -> None:
+    def __init__(self, searcher: "TopKSearcher", scorer_capacity: int = 64) -> None:
         self._searcher = searcher
         self._capacity = max(1, scorer_capacity)
-        self._neighbor_capacity = max(1, neighbor_capacity)
         self._lock = threading.Lock()
         self._epoch = searcher.index.store.epoch
         self._scorers: "OrderedDict[Tuple[str, ...], DashScorer]" = OrderedDict()
-        self._neighbors: Dict[FragmentId, Tuple[FragmentId, ...]] = {}
         self.scorer_reuses = 0
         self.scorer_builds = 0
 
@@ -277,26 +313,19 @@ class SearchSession:
         """The store epoch the cached state was computed at."""
         return self._epoch
 
-    def begin(self) -> Tuple[int, Dict[FragmentId, Tuple[FragmentId, ...]]]:
-        """Start one search: revalidate against the store epoch.
+    def begin(self) -> int:
+        """Start one search: revalidate against the store epoch, return it.
 
-        Returns the observed epoch and the neighbour cache to use.  When the
-        store moved, the caches are replaced (not mutated), so searches still
-        in flight keep their consistent-but-stale dicts and only their own
-        results are marked stale.
+        When the store moved, the scorer cache is replaced (not mutated), so
+        searches still in flight keep their consistent-but-stale scorers and
+        only their own results are marked stale.
         """
         epoch = self._searcher.index.store.epoch
         with self._lock:
             if epoch != self._epoch:
                 self._scorers = OrderedDict()
-                self._neighbors = {}
                 self._epoch = epoch
-            elif len(self._neighbors) > self._neighbor_capacity:
-                # Long-lived read-only sessions would otherwise accumulate a
-                # full second copy of the store's adjacency; a periodic reset
-                # bounds memory at the cost of re-fetching hot lists.
-                self._neighbors = {}
-            return self._epoch, self._neighbors
+            return self._epoch
 
     def scorer_for(self, keywords: Tuple[str, ...], epoch: int) -> DashScorer:
         """A scorer for ``keywords``, reused when one exists for this epoch."""
@@ -324,7 +353,7 @@ class SearchSession:
             return {
                 "epoch": self._epoch,
                 "cached_scorers": len(self._scorers),
-                "cached_neighbor_lists": len(self._neighbors),
+                "cached_neighbor_lists": len(self._searcher._identifiers.neighbors),
                 "scorer_reuses": self.scorer_reuses,
                 "scorer_builds": self.scorer_builds,
             }
@@ -335,9 +364,9 @@ class TopKSearcher:
 
     ``early_termination`` (default on) enables the exact score-bounded
     pruning described in the module docstring; turning it off restores the
-    eager score-everything reference path.  Results are byte-identical
-    either way — the flag exists for the property suite's oracle and for
-    profiling the pruning itself.
+    eager score-every-seed reference path.  Results are byte-identical
+    either way — the flag exists for reference answers (the benchmark's,
+    the property suite's) and for profiling the pruning itself.
     """
 
     #: Cap on the seeds materialized blind while the scored queue is empty
@@ -346,6 +375,10 @@ class TopKSearcher:
     #: effective blind batch is ``min(SEED_BATCH, max(2 * k, 8))`` — a
     #: small-``k`` search should not score dozens of seeds it may never pop.
     SEED_BATCH = 64
+
+    #: Neighbour lists the shared identifier cache may hold before a search
+    #: start resets it (order keys are reset with them).
+    NEIGHBOR_CAPACITY = 65536
 
     def __init__(
         self,
@@ -364,11 +397,8 @@ class TopKSearcher:
         self._lifetime_lock = threading.Lock()
         self._lifetime: Dict[str, int] = {"searches": 0}
         self._lifetime.update({field_name: 0 for field_name in LIFETIME_FIELDS})
-        # Identifier -> deterministic sort key.  Scoped to this searcher on
-        # purpose: Python equates 1 and True as dict keys, so a process-wide
-        # cache could hand one engine's key to another engine's identifier;
-        # within a single index/graph such identifiers are the same fragment.
-        self._order_cache: Dict[FragmentId, Tuple] = {}
+        self._identifiers_lock = threading.Lock()
+        self._identifiers = _IdentifierCache(graph, graph.store.epoch)
 
     def lifetime_statistics(self) -> Dict[str, float]:
         """Running totals over every search this searcher has answered.
@@ -385,12 +415,22 @@ class TopKSearcher:
         )
         return snapshot
 
-    def _order(self, identifier: FragmentId) -> Tuple:
-        key = self._order_cache.get(identifier)
-        if key is None:
-            key = _identifier_order(identifier)
-            self._order_cache[identifier] = key
-        return key
+    def _shared_identifiers(self) -> _IdentifierCache:
+        """The shared identifier cache, revalidated for a search starting now.
+
+        Validated against the *graph's* store — adjacency is what goes stale
+        (an engine shares one store between index and graph, so this is the
+        epoch ``SearchSession.begin`` checks).  A read-only searcher would
+        otherwise accumulate a second copy of the store's adjacency; the
+        periodic capacity reset bounds memory at the cost of re-fetching hot
+        lists.
+        """
+        epoch = self.graph.store.epoch
+        with self._identifiers_lock:
+            cache = self._identifiers
+            if epoch != cache.epoch or len(cache.neighbors) > self.NEIGHBOR_CAPACITY:
+                cache = self._identifiers = _IdentifierCache(self.graph, epoch)
+            return cache
 
     # ------------------------------------------------------------------
     def session(self, scorer_capacity: int = 64) -> SearchSession:
@@ -421,10 +461,9 @@ class TopKSearcher:
     ) -> DetailedSearch:
         """Run Algorithm 1 and report results, dependencies and the epoch.
 
-        ``session`` supplies reusable cross-search caches (scorers, neighbour
-        lists); without one, per-search caches are built from scratch exactly
-        as before.  The returned :class:`DetailedSearch` carries everything a
-        serving cache needs to stamp and later revalidate the entry.
+        ``session`` supplies reusable scorers; without one, a scorer is built
+        from scratch.  The returned :class:`DetailedSearch` carries everything
+        a serving cache needs to stamp and later revalidate the entry.
         """
         stream = self.stream(keywords, k, size_threshold, session=session)
         while stream.next_result() is not None:
@@ -460,18 +499,19 @@ class TopKSearcher:
             raise ValueError("the size threshold s must be at least 1")
         canonical = tuple(dict.fromkeys(str(keyword).lower() for keyword in keywords))
         if session is not None and idf_overrides is None:
-            epoch, neighbor_cache = session.begin()
+            epoch = session.begin()
             scorer = session.scorer_for(canonical, epoch)
         else:
             epoch = self.index.store.epoch
-            neighbor_cache = {}
             scorer = DashScorer(
                 self.index,
                 canonical,
                 lazy=self.early_termination,
                 idf_overrides=idf_overrides,
             )
-        return SearchStream(self, canonical, k, size_threshold, scorer, epoch, neighbor_cache)
+        return SearchStream(
+            self, canonical, k, size_threshold, scorer, epoch, self._shared_identifiers()
+        )
 
     def _record_lifetime(self, statistics: SearchStatistics) -> None:
         with self._lifetime_lock:
@@ -480,84 +520,9 @@ class TopKSearcher:
                 self._lifetime[field_name] += getattr(statistics, field_name)
 
     # ------------------------------------------------------------------
-    def _materialize_blocks(
-        self,
-        pending_blocks: List[BlockEntry],
-        queue: List[QueueEntry],
-        scorer: DashScorer,
-        consumed: Set[FragmentId],
-        seen: Set[FragmentId],
-        consulted: Set[FragmentId],
-        statistics: SearchStatistics,
-        k: int,
-        limit: Optional[tuple] = None,
-    ) -> None:
-        """Decode every waiting block whose bound could still win the next pop.
-
-        A waiting block must be decoded before the next dequeue whenever its
-        ``(-bound, (0,))`` key is at most the queue head's ``(-score, tie)``
-        key: every member's exact score is at most the block bound, so any
-        block *not* decoded provably loses the pop to the queue head, and
-        the dequeue sequence is exactly the eager path's (the sentinel tie
-        ``(0,)`` sorts at-or-before every queue tie, so equality still
-        decodes).  A scatter-gather merge additionally passes its runner-up
-        ``limit``: blocks keying after the limit cannot contribute to any
-        dequeue this advance is allowed to perform (their members key
-        at-or-after the block sentinel), so they stay undecoded until —
-        unless — their bound itself surfaces in the merge.  Decoded
-        fragments are materialized in batches — one batched vector read
-        plus one batched size read per batch; while the queue is still
-        empty (the first blocks of a search) up to ``SEED_BATCH``
-        best-bound fragments are materialized blind.  Duplicates of
-        already-materialized fragments and fragments already absorbed into
-        an expanded page are dropped unscored — the eager path would
-        dequeue and discard them.
-        """
-        blind_batch = min(self.SEED_BATCH, max(2 * k, 8))
-        limit_key = None if limit is None else tuple(limit[:2])
-        while (
-            pending_blocks
-            and (limit_key is None or pending_blocks[0][:2] <= limit_key)
-            and (not queue or pending_blocks[0][:2] <= queue[0][:2])
-        ):
-            threshold = queue[0][:2] if queue else None
-            batch: List[FragmentId] = []
-            while (
-                pending_blocks
-                and (limit_key is None or pending_blocks[0][:2] <= limit_key)
-                and (
-                    pending_blocks[0][:2] <= threshold
-                    if threshold is not None
-                    else len(batch) < blind_batch
-                )
-            ):
-                _bound, _tie, keyword_index, block_no, _count = heapq.heappop(pending_blocks)
-                entries = scorer.decode_block(keyword_index, block_no)
-                statistics.blocks_decoded += 1
-                statistics.postings_decoded += len(entries)
-                for identifier in entries:
-                    if identifier in seen:
-                        statistics.pruned_dequeues += 1
-                        continue
-                    seen.add(identifier)
-                    if identifier in consumed:
-                        statistics.pruned_dequeues += 1
-                        continue
-                    batch.append(identifier)
-            if not batch:
-                continue
-            consulted.update(batch)
-            scorer.ensure_known(batch)
-            scorer.prime_sizes(batch)
-            scores = scorer.seed_scores_for(batch)
-            statistics.seeds_scored += len(batch)
-            for identifier in batch:
-                heapq.heappush(
-                    queue,
-                    (-scores[identifier], (0, self._order(identifier)), (identifier,)),
-                )
-
-    def _seed_queue(self, seeds: Tuple[FragmentId, ...], scorer: DashScorer) -> List[QueueEntry]:
+    def _seed_queue(
+        self, seeds: Tuple[FragmentId, ...], scorer: DashScorer, order
+    ) -> List[QueueEntry]:
         """Build the initial priority queue of single-fragment pending pages.
 
         On a partitioned store the seeds are grouped by owning shard and each
@@ -577,7 +542,7 @@ class TopKSearcher:
             def shard_entries(items: List[FragmentId]) -> List[QueueEntry]:
                 scores = scorer.seed_scores_for(items)
                 return [
-                    (-scores[identifier], (0, self._order(identifier)), (identifier,))
+                    (-scores[identifier], (0, order(identifier)), (identifier,))
                     for identifier in items
                 ]
 
@@ -588,132 +553,45 @@ class TopKSearcher:
         else:
             seed_scores = scorer.seed_scores()
             queue = [
-                (-seed_scores[identifier], (0, self._order(identifier)), (identifier,))
+                (-seed_scores[identifier], (0, order(identifier)), (identifier,))
                 for identifier in seeds
             ]
         heapq.heapify(queue)
         return queue
 
-    def _expansion_candidate(
-        self,
-        fragments: Tuple[FragmentId, ...],
-        scorer: DashScorer,
-        size_threshold: int,
-        stats: PageStats,
-        neighbor_cache: Dict[FragmentId, Tuple[FragmentId, ...]],
-        consulted: Set[FragmentId],
-        statistics: SearchStatistics,
-    ) -> Optional[Tuple[FragmentId, PageStats]]:
-        """The fragment to expand with (and the expanded page's statistics),
-        or ``None`` when not expandable.
-
-        A pending db-page is not expandable when its size already reaches the
-        threshold ``s`` or no combinable fragment remains.  Among the
-        combinable candidates, relevant fragments (those containing query
-        keywords) are favoured, then higher resulting score, then the
-        deterministic identifier order.  Under early termination two exact
-        prunings apply: once any relevant candidate exists, irrelevant ones
-        are skipped unevaluated (the relevance tier dominates the preference
-        order), and a relevant candidate whose admissible extended-score
-        bound cannot beat the best candidate so far is skipped without
-        reading its size.  Every candidate still lands in ``consulted`` —
-        skipping an evaluation must not narrow the dependency set a serving
-        cache revalidates against.
-        """
-        if stats.size >= size_threshold:
-            return None
-        members = set(fragments)
-        candidates: List[FragmentId] = []
-        for identifier in fragments:
-            neighbors = neighbor_cache.get(identifier)
-            if neighbors is None:
-                neighbors = self.graph.neighbors(identifier)
-                neighbor_cache[identifier] = neighbors
-            for neighbor in neighbors:
-                if neighbor not in members:
-                    candidates.append(neighbor)
-        if not candidates:
-            return None
-
-        unique = list(dict.fromkeys(candidates))
-        consulted.update(unique)
-        # One batched vector read covers every candidate's relevance check
-        # and occurrence lookups below (no-op on an eager scorer).
-        scorer.ensure_known(unique)
-        if self.early_termination:
-            relevant = [
-                candidate for candidate in unique if scorer.fragment_is_relevant(candidate)
-            ]
-            if relevant:
-                statistics.pruned_expansions += len(unique) - len(relevant)
-                return self._best_relevant_candidate(relevant, scorer, stats, statistics)
-
-        best_key = None
-        best: Optional[Tuple[FragmentId, PageStats]] = None
-        for candidate in unique:
-            extended = scorer.extended_stats(stats, candidate)
-            preference = (
-                0 if scorer.fragment_is_relevant(candidate) else 1,
-                -scorer.score_from_stats(extended),
-                self._order(candidate),
-            )
-            if best_key is None or preference < best_key:
-                best_key = preference
-                best = (candidate, extended)
-        return best
-
-    def _best_relevant_candidate(
-        self,
-        candidates: List[FragmentId],
-        scorer: DashScorer,
-        stats: PageStats,
-        statistics: SearchStatistics,
-    ) -> Tuple[FragmentId, PageStats]:
-        """The preferred candidate among relevant ones, bound-pruned.
-
-        All candidates share preference tier 0, so the comparison reduces to
-        ``(-score, identifier order)``.  A candidate whose admissible bound
-        key already loses to the best exact key cannot win (its exact score
-        is at most its bound), so its size is never read — exact output,
-        fewer store reads.
-        """
-        best_key = None
-        best: Optional[Tuple[FragmentId, PageStats]] = None
-        for candidate in candidates:
-            if best_key is not None:
-                bound_key = (
-                    -scorer.extended_score_bound(stats, candidate),
-                    self._order(candidate),
-                )
-                if bound_key > best_key:
-                    statistics.pruned_expansions += 1
-                    continue
-            extended = scorer.extended_stats(stats, candidate)
-            key = (-scorer.score_from_stats(extended), self._order(candidate))
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (candidate, extended)
-        assert best is not None  # candidates is non-empty by construction
-        return best
-
     def _make_result(
-        self,
-        fragments: Tuple[FragmentId, ...],
-        score: float,
-        stats: PageStats,
+        self, fragments: Tuple[FragmentId, ...], score: float, size: int
     ) -> SearchResult:
         bindings = self.url_formulator.bindings_for_fragments(fragments)
         url = self.url_formulator.url_for_fragments(fragments)
         return SearchResult(
-            url=url,
-            score=score,
-            fragments=fragments,
-            size=stats.size,
-            bindings=bindings,
+            url=url, score=score, fragments=fragments, size=size, bindings=bindings
         )
 
-    def _ordered(self, fragments: Tuple[FragmentId, ...]) -> Tuple[FragmentId, ...]:
-        return tuple(sorted(set(fragments), key=self._order))
+
+class _PendingPage:
+    """What a db-page carries from one dequeue to its next.
+
+    Created when a seed is first dequeued, then updated in place at every
+    expansion and re-queued beside its member tuple, so no dequeue ever
+    re-derives what the previous one knew.  ``frontier`` maps each
+    combinable non-member to the smallest order key among the members it is
+    adjacent to; the neighbours of ``added`` — the member absorbed last —
+    are merged in at the *next* dequeue, not at enqueue, so a page that is
+    never dequeued again (or has reached the size threshold) never reads
+    adjacency.
+    """
+
+    __slots__ = ("occurrences", "size", "orders", "frontier", "added")
+
+    def __init__(
+        self, occurrences: Tuple[int, ...], size: int, order: Tuple, seed: FragmentId
+    ) -> None:
+        self.occurrences = occurrences
+        self.size = size
+        self.orders: Tuple[Tuple, ...] = (order,)
+        self.frontier: Dict[FragmentId, Tuple] = {}
+        self.added = seed
 
 
 class SearchStream:
@@ -753,7 +631,7 @@ class SearchStream:
         size_threshold: int,
         scorer: DashScorer,
         epoch: int,
-        neighbor_cache: Dict[FragmentId, Tuple[FragmentId, ...]],
+        identifiers: _IdentifierCache,
     ) -> None:
         self._searcher = searcher
         self.keywords = keywords
@@ -765,16 +643,19 @@ class SearchStream:
         self.statistics.seed_fragments = scorer.posting_count()
         self.consulted: Set[FragmentId] = set()
         self.results: List[SearchResult] = []
-        self._neighbor_cache = neighbor_cache
+        self._identifiers = identifiers
         # Distinct fragments decoded so far (bounded mode): a fragment
         # relevant to several query keywords appears in several blocks but
         # must be scored exactly once.
         self._seen: Set[FragmentId] = set()
         self._consumed: Set[FragmentId] = set()
-        # Pending pages carry their integer occurrence/size statistics so
-        # each expansion evaluation is O(|W|); seeds compute theirs on
-        # first pop.
-        self._stats_cache: Dict[Tuple[FragmentId, ...], PageStats] = {}
+        # The carried state of every *expanded* page waiting in the queue,
+        # keyed by the identity of the member tuple in its queue entry (the
+        # queue keeps that tuple alive, so the key is unique; two entries
+        # with equal members — one page reached by two expansion routes —
+        # are two tuples and own two records).  Seeds get theirs on first
+        # dequeue.
+        self._pending: Dict[int, _PendingPage] = {}
         self._finalized = False
         self._started = time.perf_counter()
         # Under early termination the queue starts empty and whole posting
@@ -792,7 +673,7 @@ class SearchStream:
             self._pending_blocks = []
             seeds = scorer.relevant_fragments()
             self.consulted.update(seeds)
-            self._queue = searcher._seed_queue(seeds, scorer)
+            self._queue = searcher._seed_queue(seeds, scorer, identifiers.order)
             self.statistics.seeds_scored = len(seeds)
 
     @property
@@ -851,16 +732,7 @@ class SearchStream:
         if self._finalized or len(self.results) >= self.k:
             return None
         if self._pending_blocks:
-            self._searcher._materialize_blocks(
-                self._pending_blocks,
-                self._queue,
-                self.scorer,
-                self._consumed,
-                self._seen,
-                self.consulted,
-                self.statistics,
-                self.k,
-            )
+            self._materialize_blocks()
         if not self._queue:
             return None
         return self._queue[0]
@@ -881,62 +753,186 @@ class SearchStream:
         after the limit, or the head itself), so the pop is final.
         """
         searcher = self._searcher
-        scorer = self.scorer
         statistics = self.statistics
         while True:
             if self._finalized or len(self.results) >= self.k:
                 return None
             if self._pending_blocks:
-                searcher._materialize_blocks(
-                    self._pending_blocks,
-                    self._queue,
-                    scorer,
-                    self._consumed,
-                    self._seen,
-                    self.consulted,
-                    statistics,
-                    self.k,
-                    limit,
-                )
+                self._materialize_blocks(limit)
             if not self._queue:
                 return None
             if limit is not None and self._queue[0] > limit:
                 return None
             negative_score, _tie, fragments = heapq.heappop(self._queue)
             statistics.dequeues += 1
-            if len(fragments) == 1 and fragments[0] in self._consumed:
-                # This seed was absorbed into an expanded db-page already
-                # (the paper removes such entries from the queue).
-                continue
-            stats = self._stats_cache.pop(fragments, None)
-            if stats is None:
-                stats = scorer.page_stats(fragments)
-            expansion = searcher._expansion_candidate(
-                fragments,
-                scorer,
-                self.size_threshold,
-                stats,
-                self._neighbor_cache,
-                self.consulted,
-                statistics,
-            )
-            if expansion is None:
-                result = searcher._make_result(fragments, -negative_score, stats)
+            if len(fragments) == 1:
+                if fragments[0] in self._consumed:
+                    # This seed was absorbed into an expanded db-page already
+                    # (the paper removes such entries from the queue).
+                    continue
+                # Looked up when the seed was scored: no store read here.
+                occurrences, size = self.scorer.fragment_totals(fragments[0])
+                key = self._identifiers.order(fragments[0])
+                page = _PendingPage(occurrences, size, key, fragments[0])
+            else:
+                page = self._pending.pop(id(fragments))
+            expanded = self._expand(page, fragments)
+            if expanded is None:
+                result = searcher._make_result(fragments, -negative_score, page.size)
                 self.results.append(result)
                 return result
-            candidate, expanded_stats = expansion
             statistics.expansions += 1
-            self._consumed.add(candidate)
-            expanded = searcher._ordered(fragments + (candidate,))
-            self._stats_cache[expanded] = expanded_stats
-            heapq.heappush(
-                self._queue,
-                (
-                    -scorer.score_from_stats(expanded_stats),
-                    (1, tuple(searcher._order(member) for member in expanded)),
-                    expanded,
-                ),
-            )
+            members, score = expanded
+            self._pending[id(members)] = page
+            heapq.heappush(self._queue, (-score, (1, page.orders), members))
+
+    def _materialize_blocks(self, limit: Optional[tuple] = None) -> None:
+        """Decode every waiting block whose bound could still win the next pop.
+
+        A waiting block must be decoded before the next dequeue whenever its
+        ``(-bound, (0,))`` key is at most the queue head's ``(-score, tie)``
+        key: every member's exact score is at most the block bound, so any
+        block *not* decoded provably loses the pop to the queue head, and
+        the dequeue sequence is exactly the eager path's (the sentinel tie
+        ``(0,)`` sorts at-or-before every queue tie, so equality still
+        decodes).  A scatter-gather merge additionally passes its runner-up
+        ``limit``: blocks keying after the limit cannot contribute to any
+        dequeue this advance is allowed to perform (their members key
+        at-or-after the block sentinel), so they stay undecoded until —
+        unless — their bound itself surfaces in the merge.  Decoded
+        fragments are materialized in batches — one batched vector read
+        plus one batched size read per batch; while the queue is still
+        empty (the first blocks of a search) up to ``SEED_BATCH``
+        best-bound fragments are materialized blind.  Duplicates of
+        already-materialized fragments and fragments already absorbed into
+        an expanded page are dropped unscored — the eager path would
+        dequeue and discard them.
+        """
+        pending_blocks, queue, scorer = self._pending_blocks, self._queue, self.scorer
+        consumed, seen, statistics = self._consumed, self._seen, self.statistics
+        order = self._identifiers.order
+        blind_batch = min(self._searcher.SEED_BATCH, max(2 * self.k, 8))
+        limit_key = None if limit is None else tuple(limit[:2])
+        while (
+            pending_blocks
+            and (limit_key is None or pending_blocks[0][:2] <= limit_key)
+            and (not queue or pending_blocks[0][:2] <= queue[0][:2])
+        ):
+            threshold = queue[0][:2] if queue else None
+            batch: List[FragmentId] = []
+            while (
+                pending_blocks
+                and (limit_key is None or pending_blocks[0][:2] <= limit_key)
+                and (
+                    pending_blocks[0][:2] <= threshold
+                    if threshold is not None
+                    else len(batch) < blind_batch
+                )
+            ):
+                _bound, _tie, keyword_index, block_no, _count = heapq.heappop(pending_blocks)
+                entries = scorer.decode_block(keyword_index, block_no)
+                statistics.blocks_decoded += 1
+                statistics.postings_decoded += len(entries)
+                for identifier in entries:
+                    if identifier in seen:
+                        statistics.pruned_dequeues += 1
+                        continue
+                    seen.add(identifier)
+                    if identifier in consumed:
+                        statistics.pruned_dequeues += 1
+                        continue
+                    batch.append(identifier)
+            if not batch:
+                continue
+            self.consulted.update(batch)
+            scorer.ensure_known(batch)
+            scorer.prime_sizes(batch)
+            scores = scorer.seed_scores_for(batch)
+            statistics.seeds_scored += len(batch)
+            for identifier in batch:
+                heapq.heappush(
+                    queue,
+                    (-scores[identifier], (0, order(identifier)), (identifier,)),
+                )
+
+    def _expand(
+        self, page: _PendingPage, fragments: Tuple[FragmentId, ...]
+    ) -> Optional[Tuple[Tuple[FragmentId, ...], float]]:
+        """Grow ``page`` by its preferred candidate; ``None`` if not expandable.
+
+        A pending db-page is not expandable when its size already reaches
+        the threshold ``s`` or no combinable fragment remains.  Among the
+        combinable candidates, relevant fragments (those containing query
+        keywords) are favoured, then higher resulting score, then the
+        identifier order — a total order (distinct identifiers never share
+        an order key), so the winner does not depend on how the frontier is
+        iterated.  Two exact prunings apply: once any relevant candidate
+        exists, irrelevant ones are skipped unevaluated (the relevance tier
+        dominates the preference order), and a relevant candidate whose
+        admissible score bound cannot beat the best candidate so far is
+        skipped without reading its size.  How many the second pruning skips
+        *does* depend on the visiting order, so relevant candidates are
+        visited by (smallest adjacent member, own identifier) — members in
+        order, each one's neighbours in order.  Every candidate still lands
+        in ``consulted``: skipping an evaluation must not narrow the
+        dependency set a serving cache revalidates against.
+
+        On success ``page`` is updated in place to the expanded page and
+        ``(members, score)`` of that page is returned.
+        """
+        if page.size >= self.size_threshold:
+            return None
+        order = self._identifiers.order
+        frontier = page.frontier
+        anchor = order(page.added)
+        for neighbor in self._identifiers.neighbors_of(page.added):
+            if neighbor not in fragments:
+                known = frontier.get(neighbor)
+                if known is None or anchor < known:
+                    frontier[neighbor] = anchor
+        if not frontier:
+            return None
+        self.consulted.update(frontier)
+        scorer = self.scorer
+        # One batched vector read covers every candidate's relevance check
+        # and occurrence lookups below (no-op on an eager scorer).
+        relevant = scorer.relevant_among(frontier)
+        occurrences, size = page.occurrences, page.size
+        best_key = None
+        if not relevant:
+            # No candidate adds a query keyword: the totals stay as they
+            # are, only the size grows.
+            best_occurrences = occurrences
+            for candidate in frontier:
+                grown = size + scorer.size_of(candidate)
+                key = (-scorer.score_totals(occurrences, grown), order(candidate))
+                if best_key is None or key < best_key:
+                    best_key, best, best_size = key, candidate, grown
+        else:
+            pruned = len(frontier) - len(relevant)
+            if len(relevant) > 1:
+                relevant.sort(key=lambda candidate: (frontier[candidate], order(candidate)))
+            total = sum(occurrences)
+            for candidate in relevant:
+                rank = order(candidate)
+                extended = scorer.extended_occurrences(occurrences, candidate)
+                if best_key is not None:
+                    bound = scorer.score_bound(extended, size + sum(extended) - total)
+                    if (-bound, rank) > best_key:
+                        pruned += 1
+                        continue
+                grown = size + scorer.size_of(candidate)
+                key = (-scorer.score_totals(extended, grown), rank)
+                if best_key is None or key < best_key:
+                    best_key, best, best_size, best_occurrences = key, candidate, grown, extended
+            if self._searcher.early_termination:  # the reference mode reports none
+                self.statistics.pruned_expansions += pruned
+        self._consumed.add(best)
+        del frontier[best]
+        at = bisect(page.orders, best_key[1])
+        page.orders = page.orders[:at] + (best_key[1],) + page.orders[at:]
+        page.occurrences, page.size, page.added = best_occurrences, best_size, best
+        return fragments[:at] + (best,) + fragments[at:], -best_key[0]
 
     def next_results(
         self, limit: Optional[QueueEntry] = None, max_results: int = 1
@@ -995,11 +991,3 @@ class SearchStream:
             statistics=statistics,
         )
 
-
-def _identifier_order(identifier: FragmentId):
-    return tuple(
-        (0, "") if component is None
-        else (1, float(component)) if isinstance(component, (int, float)) and not isinstance(component, bool)
-        else (2, str(component))
-        for component in identifier
-    )

@@ -21,8 +21,8 @@ the index — everything above :class:`~repro.core.search.TopKSearcher`:
   workload before traffic arrives.
 
 The service shares its searcher's :class:`~repro.core.search.SearchSession`,
-so scorers and neighbour lists are also reused across requests and dropped on
-epoch changes.  One service instance is safe for concurrent use from many
+so scorers (and, through the searcher itself, sorted neighbour lists) are also
+reused across requests and dropped on epoch changes.  One service instance is safe for concurrent use from many
 threads; maintenance is expected to be applied by one writer at a time
 (matching :class:`~repro.core.incremental.IncrementalMaintainer`).
 """

@@ -1,5 +1,6 @@
 """Tests for db-page fragments, the inverted fragment index and the fragment graph."""
 
+from hypothesis import given, strategies as st
 import pytest
 
 from repro.core.fragment_graph import FragmentGraph, FragmentGraphError
@@ -8,6 +9,7 @@ from repro.core.fragments import (
     average_keywords_per_fragment,
     derive_fragments,
     fragment_sizes,
+    identifier_order,
 )
 
 
@@ -70,6 +72,45 @@ class TestFragmentDerivation:
             if identifier[0] == "American" and 10 <= identifier[1] <= 15
         ]
         assert sum(fragment.record_count for fragment in matching) == len(page)
+
+
+_components = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=3)
+)
+
+
+class TestIdentifierOrder:
+    """The one ordering behind member tuples, neighbour lists and queue ties."""
+
+    def test_type_tiers_then_value(self):
+        identifiers = [("X", "9"), ("X", 2.5), ("X", None), ("X", "10"), ("X", 2), ("X", True)]
+        assert sorted(identifiers, key=identifier_order) == [
+            ("X", None), ("X", True), ("X", 2), ("X", 2.5), ("X", "10"), ("X", "9"),
+        ]
+
+    def test_equal_identifiers_share_a_key(self):
+        # One fragment as far as any dict or set is concerned.
+        assert identifier_order((1,)) == identifier_order((True,)) == identifier_order((1.0,))
+
+    def test_lookalikes_and_huge_integers_stay_apart(self):
+        identifiers = [
+            (None,), ("",), ("None",), (True,), ("True",), (0,), ("0",), ("1",), (1.5,), ("1.5",),
+            (2**53,), (2**53 + 1,),
+        ]
+        assert len({identifier_order(identifier) for identifier in identifiers}) == len(identifiers)
+
+    @given(
+        pair=st.integers(min_value=1, max_value=3).flatmap(
+            lambda width: st.tuples(
+                st.tuples(*[_components] * width), st.tuples(*[_components] * width)
+            )
+        )
+    )
+    def test_keys_are_totally_ordered_and_collide_only_on_equal_identifiers(self, pair):
+        left, right = pair
+        left_key, right_key = identifier_order(left), identifier_order(right)
+        assert (left_key == right_key) == (left == right)
+        assert (left_key < right_key) + (right_key < left_key) + (left_key == right_key) == 1
 
 
 class TestInvertedFragmentIndex:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.engine import DashEngine
-from repro.core.fragments import derive_fragments, fragment_sizes
+from repro.core.fragments import derive_fragments, fragment_sizes, identifier_order
 from repro.core.fragment_graph import FragmentGraph
 from repro.core.fragment_index import InvertedFragmentIndex
 from repro.core.scoring import DashScorer
@@ -182,6 +182,79 @@ class TestTopKSearch:
         results = searcher.search(["burger"], k=10, size_threshold=5)
         combos = [result.fragments for result in results]
         assert len(combos) == len(set(combos))
+
+
+class _NoUrls:
+    """Stands in for the UrlFormulator where identifiers mix component types."""
+
+    def bindings_for_fragments(self, fragments):
+        return {}
+
+    def url_for_fragments(self, fragments):
+        return ""
+
+
+def _one_store_searcher(search_query, fragments, formulator=None):
+    """Index and graph on one store, as an engine wires them."""
+    index = InvertedFragmentIndex()
+    for identifier, term_frequencies in fragments.items():
+        index.add_fragment(identifier, term_frequencies)
+    index.finalize()
+    sizes = {identifier: index.fragment_size(identifier) for identifier in fragments}
+    graph = FragmentGraph.build(search_query, sizes, store=index.store)
+    return index, graph, TopKSearcher(index, graph, formulator or _NoUrls())
+
+
+class TestIdentifierCaches:
+    """Order keys and neighbour lists: one ordering, one bounded owner."""
+
+    def test_members_neighbours_and_ties_sort_alike_for_every_component_type(self, search_query):
+        chain = [("X", None), ("X", True), ("X", 2), ("X", 2.5), ("X", "10"), ("X", "9")]
+        fragments = {identifier: {"hot": 1 + at, "pad": 2} for at, identifier in enumerate(chain)}
+        _index, graph, searcher = _one_store_searcher(search_query, fragments)
+        assert graph.neighbors(("X", 2.5)) == (("X", 2), ("X", "10"))
+        assert graph.connected_component(("X", "9")) == tuple(chain)
+
+        stream = searcher.stream(["hot"], 1, 1000)
+        heads = []
+        while stream.peek_entry() is not None:
+            heads.append(stream.peek_entry())
+            stream.next_result(heads[-1])
+        assert stream.results[0].fragments == tuple(chain)
+        assert any(len(members) > 1 for _score, _tie, members in heads)
+        for _score, tie, members in heads:
+            keys = tuple(identifier_order(member) for member in members)
+            assert keys == tuple(sorted(keys))
+            assert tie == ((0, keys[0]) if len(members) == 1 else (1, keys))
+
+    def test_caches_stay_bounded_across_insert_delete_rounds(self, search_query):
+        fragments = {("Cuisine00", 5 + at): {"hot": 1, "pad": 3} for at in range(12)}
+        index, graph, searcher = _one_store_searcher(search_query, fragments)
+        searcher.NEIGHBOR_CAPACITY = 4  # a tight cap: resets happen within the test
+        session = searcher.session()
+        for round_no in range(200):
+            transient = ("Cuisine00", 100 + round_no)
+            index.add_fragment(transient, {"hot": 2, "pad": 1})
+            graph.add_fragment(transient, 3)
+            searcher.search(["hot"], k=3, size_threshold=40, session=session)
+            index.remove_fragment(transient)
+            graph.remove_fragment(transient)
+            searcher.search(["hot"], k=3, size_threshold=40)
+            cache = searcher._identifiers
+            bound = graph.fragment_count + searcher.NEIGHBOR_CAPACITY
+            assert len(cache.orders) <= bound and len(cache.neighbors) <= bound
+            assert session.statistics()["cached_neighbor_lists"] == len(cache.neighbors)
+            assert transient not in cache.orders and transient not in cache.neighbors
+
+    def test_streams_without_a_session_share_the_neighbour_cache(self, search_query):
+        fragments = {("Cuisine00", 5 + at): {"hot": 1, "pad": 3} for at in range(6)}
+        _index, _graph, searcher = _one_store_searcher(search_query, fragments)
+        searcher.search(["hot"], k=2, size_threshold=40)
+        filled = searcher.session().statistics()["cached_neighbor_lists"]
+        assert filled > 0
+        routed = searcher.stream(["hot"], 2, 40, idf_overrides={"hot": 0.5})
+        assert routed.next_result() is not None
+        assert searcher.session().statistics()["cached_neighbor_lists"] == filled
 
 
 class TestSearchStreamBatching:

@@ -25,6 +25,7 @@ import time
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
+from oracle import oracle_search
 from repro.core.fragment_graph import FragmentGraph
 from repro.core.fragment_index import InvertedFragmentIndex
 from repro.core.search import TopKSearcher
@@ -176,6 +177,76 @@ class TestEarlyTerminationExactness:
             assert other.last_statistics.dequeues == reference.last_statistics.dequeues
             assert other.last_statistics.expansions == reference.last_statistics.expansions
             assert other.last_statistics.seeds_scored == reference.last_statistics.seeds_scored
+
+
+class TestIndependentOracle:
+    """Both searcher modes against ``tests/oracle.py``.
+
+    The exhaustive searcher shares the dequeue loop with the bounded one, so
+    state carried wrongly between a page's dequeues would pass every
+    bounded-vs-exhaustive comparison; the oracle re-derives everything at
+    every dequeue.
+    """
+
+    #: One chain, two seeds (2 and 4) either side of an irrelevant middle:
+    #: seed 2 absorbs 3 and seed 4 absorbs 3 as well (a consumed fragment
+    #: stays a valid candidate), then ``{2,3}+4`` and ``{3,4}+2`` arrive at
+    #: the same page by two routes.  Both copies must go on to prefer the
+    #: small end 5 over the large end 1.
+    CHAIN = {
+        ("Cuisine00", 1): {"pad": 5},
+        ("Cuisine00", 2): {"hot": 3, "a": 1},
+        ("Cuisine00", 3): {"mid": 1},
+        ("Cuisine00", 4): {"hot": 2, "b": 1},
+        ("Cuisine00", 5): {"end": 2},
+    }
+
+    @pytest.mark.parametrize("store_factory", [InMemoryStore, _disk_store])
+    @pytest.mark.parametrize("early_termination", [True, False])
+    def test_a_page_reached_by_two_routes_expands_the_same_on_both(
+        self, store_factory, early_termination
+    ):
+        index, graph, searcher = _build(self.CHAIN, store_factory(), early_termination)
+        detailed = searcher.search_detailed(["hot"], k=3, size_threshold=10)
+        expected, dependencies = oracle_search(index, graph, ["hot"], 3, 10)
+        converged = tuple(("Cuisine00", budget) for budget in (2, 3, 4, 5))
+        assert [fragments for fragments, _score, _size in expected] == [converged, converged]
+        assert [(r.fragments, r.score, r.size) for r in detailed.results] == expected
+        assert detailed.dependencies == dependencies
+        assert detailed.statistics.expansions == 6  # 2+3, 4+3, then +4/+2 and +5 per route
+
+    @RELAXED
+    @given(
+        fragments=corpus_strategy,
+        query_seed=st.integers(min_value=0, max_value=10_000),
+        k=st.integers(min_value=1, max_value=6),
+        size_threshold=st.sampled_from([1, 10, 60]),
+        store_factory=st.sampled_from([InMemoryStore, _disk_store]),
+    )
+    def test_both_modes_match_the_oracle_on_results_and_dependencies(
+        self, fragments, query_seed, k, size_threshold, store_factory
+    ):
+        import random
+
+        rng = random.Random(query_seed)
+        vocabulary = [f"kw{index:02d}" for index in range(30)] + ["unknown"]
+        keywords = rng.sample(vocabulary, rng.randint(1, 3))
+        index, graph, exhaustive = _build(fragments, store_factory(), early_termination=False)
+        expected, dependencies = oracle_search(index, graph, keywords, k, size_threshold)
+
+        eager = exhaustive.search_detailed(keywords, k=k, size_threshold=size_threshold)
+        assert [(r.fragments, r.score, r.size) for r in eager.results] == expected
+        assert eager.dependencies == dependencies
+
+        _, _, bounded = _build(fragments, store_factory())
+        pruned = bounded.search_detailed(keywords, k=k, size_threshold=size_threshold)
+        assert _result_tuples(pruned.results) == _result_tuples(eager.results)
+        # Bounded mode consults the same candidates and only the seeds it
+        # materialized: it may miss never-decoded seeds, nothing else.
+        assert pruned.dependencies <= dependencies
+        seeds = {posting.document_id for w in keywords for posting in index.postings(w)}
+        assert dependencies - pruned.dependencies <= seeds
+        assert pruned.statistics.expansions == eager.statistics.expansions
 
 
 # ----------------------------------------------------------------------

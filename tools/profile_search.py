@@ -14,10 +14,18 @@ Usage::
     PYTHONPATH=src python tools/profile_search.py --backend disk --no-early-termination
     PYTHONPATH=src python tools/profile_search.py --compare memory,disk
     PYTHONPATH=src python tools/profile_search.py --cluster nodes=4,replicas=2
+    PYTHONPATH=src python tools/profile_search.py --backend memory --sort tottime
+
+``--sort`` picks the pstats ordering (``cumulative``, the default, or
+``tottime`` — self time, which is what names a hot loop body).  Every report
+ends with ``dequeues=<n> us_per_dequeue=<x>``: the same query loop timed once
+more with the profiler *off*, divided by the priority-queue dequeues it
+performed — the unit cost of Algorithm 1's expand-and-requeue step, readable
+without a pstats table.
 
 ``--backend`` accepts ``seed`` (the pre-store baseline searcher), ``memory``,
 ``sharded-N`` and ``disk``.  ``--no-early-termination`` profiles the
-exhaustive oracle path instead of the block-max bounded one.
+score-every-seed reference path instead of the block-max bounded one.
 ``--compare a,b,...`` profiles every listed backend twice — bounded and
 exhaustive — in one run, so block-decode hot spots (``decode_block``,
 ``posting_blocks_for_many``) can be read side by side against the full-scan
@@ -38,6 +46,7 @@ import io
 import os
 import pstats
 import sys
+import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "benchmarks"))
@@ -56,8 +65,37 @@ from bench_store_backends import (  # noqa: E402  (path set up above)
 )
 
 
+def _profile(run_passes, lifetime_statistics, sort: str, top: int) -> str:
+    """Profile ``run_passes()``, then time it unprofiled; pstats table + unit-cost line.
+
+    ``lifetime_statistics`` is the searcher's (or router's) running-totals
+    accessor, ``None`` for the seed replica, which counts nothing.
+    """
+    profiler = cProfile.Profile()
+    profiler.enable()
+    run_passes()
+    profiler.disable()
+    buffer = io.StringIO()
+    pstats.Stats(profiler, stream=buffer).sort_stats(sort).print_stats(top)
+    if lifetime_statistics is None:
+        return buffer.getvalue()
+    before = lifetime_statistics()["dequeues"]
+    started = time.perf_counter()
+    run_passes()
+    elapsed = time.perf_counter() - started
+    dequeues = int(lifetime_statistics()["dequeues"] - before)
+    return buffer.getvalue() + (
+        f"dequeues={dequeues} us_per_dequeue={elapsed * 1e6 / max(1, dequeues):.2f}\n"
+    )
+
+
 def profile_backend(
-    backend: str, fragments: int, repeats: int, top: int, early_termination: bool = True
+    backend: str,
+    fragments: int,
+    repeats: int,
+    top: int,
+    early_termination: bool = True,
+    sort: str = "cumulative",
 ) -> str:
     """Profile ``repeats`` passes of the standard query mix; returns the report."""
     corpus = synthetic_fragments(fragments)
@@ -68,21 +106,18 @@ def profile_backend(
     for keywords in queries:  # warm caches so the profile shows the steady state
         searcher.search(keywords, k=K, size_threshold=SIZE_THRESHOLDS[0])
 
-    profiler = cProfile.Profile()
-    profiler.enable()
-    for _ in range(repeats):
-        for keywords in queries:
-            for size_threshold in SIZE_THRESHOLDS:
-                searcher.search(keywords, k=K, size_threshold=size_threshold)
-    profiler.disable()
+    def run_passes() -> None:
+        for _ in range(repeats):
+            for keywords in queries:
+                for size_threshold in SIZE_THRESHOLDS:
+                    searcher.search(keywords, k=K, size_threshold=size_threshold)
+
+    table = _profile(run_passes, getattr(searcher, "lifetime_statistics", None), sort, top)
 
     store = getattr(getattr(searcher, "index", None), "store", None)
     if store is not None:
         store.close()  # release the disk backend's connections / read pool
 
-    buffer = io.StringIO()
-    statistics = pstats.Stats(profiler, stream=buffer)
-    statistics.sort_stats("cumulative").print_stats(top)
     header = (
         f"backend={backend} fragments={fragments} repeats={repeats} "
         f"early_termination={early_termination} "
@@ -101,10 +136,12 @@ def profile_backend(
         )
     except AttributeError:
         pass  # the seed replica carries no statistics
-    return header + buffer.getvalue()
+    return header + table
 
 
-def profile_cluster(spec: str, fragments: int, repeats: int, top: int) -> str:
+def profile_cluster(
+    spec: str, fragments: int, repeats: int, top: int, sort: str = "cumulative"
+) -> str:
     """Profile the routed (cluster) read path with a warm term-stats cache.
 
     ``spec`` is ``nodes=N,replicas=R`` (both optional, defaults 4 and 1).
@@ -134,22 +171,19 @@ def profile_cluster(spec: str, fragments: int, repeats: int, top: int) -> str:
     for keywords in queries:  # warm the term-stats cache (and page caches)
         router.search(keywords, k=K, size_threshold=SIZE_THRESHOLDS[0])
 
-    profiler = cProfile.Profile()
-    profiler.enable()
-    for _ in range(repeats):
-        for keywords in queries:
-            for size_threshold in SIZE_THRESHOLDS:
-                router.search(keywords, k=K, size_threshold=size_threshold)
-    profiler.disable()
+    def run_passes() -> None:
+        for _ in range(repeats):
+            for keywords in queries:
+                for size_threshold in SIZE_THRESHOLDS:
+                    router.search(keywords, k=K, size_threshold=size_threshold)
+
+    table = _profile(run_passes, router.lifetime_statistics, sort, top)
 
     lifetime = router.lifetime_statistics()
     cache = router.term_stats.statistics()
     cluster.close()
     source_store.close()
 
-    buffer = io.StringIO()
-    statistics = pstats.Stats(profiler, stream=buffer)
-    statistics.sort_stats("cumulative").print_stats(top)
     header = (
         f"cluster nodes={nodes} replicas={replicas} fragments={fragments} "
         f"repeats={repeats} queries/pass={len(queries) * len(SIZE_THRESHOLDS)}\n"
@@ -162,7 +196,7 @@ def profile_cluster(spec: str, fragments: int, repeats: int, top: int) -> str:
         f"term-stats cache: hits={cache['hits']} misses={cache['misses']} "
         f"entries={cache['entries']}\n"
     )
-    return header + buffer.getvalue()
+    return header + table
 
 
 def main(argv=None) -> int:
@@ -176,6 +210,12 @@ def main(argv=None) -> int:
     parser.add_argument("--fragments", type=int, default=6000, help="corpus size (default 6000)")
     parser.add_argument("--repeats", type=int, default=5, help="query-mix passes (default 5)")
     parser.add_argument("--top", type=int, default=20, help="hot spots to print (default 20)")
+    parser.add_argument(
+        "--sort",
+        default="cumulative",
+        choices=("cumulative", "tottime"),
+        help="pstats ordering: cumulative (default) or tottime (self time)",
+    )
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")
     parser.add_argument(
         "--no-early-termination",
@@ -200,7 +240,11 @@ def main(argv=None) -> int:
 
     if arguments.cluster:
         report = profile_cluster(
-            arguments.cluster, arguments.fragments, arguments.repeats, arguments.top
+            arguments.cluster,
+            arguments.fragments,
+            arguments.repeats,
+            arguments.top,
+            sort=arguments.sort,
         )
     elif arguments.compare:
         sections = []
@@ -213,6 +257,7 @@ def main(argv=None) -> int:
                         arguments.repeats,
                         arguments.top,
                         early_termination=early_termination,
+                        sort=arguments.sort,
                     )
                 )
         report = ("=" * 78 + "\n").join(sections)
@@ -223,6 +268,7 @@ def main(argv=None) -> int:
             arguments.repeats,
             arguments.top,
             early_termination=not arguments.no_early_termination,
+            sort=arguments.sort,
         )
     if arguments.output:
         with open(arguments.output, "w", encoding="utf-8") as handle:
