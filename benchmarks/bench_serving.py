@@ -6,12 +6,12 @@ the three things a query frontend is judged by:
 
 1. **Cache effectiveness** — per-request latency distributions (p50/p95/p99)
    of the uncached ``TopKSearcher.search`` baseline vs. a cold-cache and a
-   hot-cache service pass, on the in-memory and the sharded backend.  Every
-   service answer is checked byte-identical to the uncached baseline.
+   hot-cache service pass on the in-memory backend.  Every service answer
+   is checked byte-identical to the uncached baseline.
 2. **Worker scaling** — ``search_many`` throughput at 1/2/4 workers over a
    store whose reads block (:class:`BlockingReadStore`, emulating the remote
-   shard / disk round-trips of a deployed backend, where thread concurrency
-   actually overlaps waiting), and — separately — over the real
+   partition / disk round-trips of a deployed backend, where thread
+   concurrency actually overlaps waiting), and — separately — over the real
    :class:`DiskStore` with simulated storage latency per SQL read
    (:class:`StorageLatencyDiskStore`), where the per-thread read-connection
    pool is what lets workers overlap at all: the same pass re-run in the
@@ -58,7 +58,7 @@ from repro.core.urls import UrlFormulator
 from repro.datasets.fooddb import build_fooddb, fooddb_search_query
 from repro.datasets.workloads import zipf_keyword_queries
 from repro.serving import SearchService
-from repro.store import DiskStore, InMemoryStore, ShardedStore
+from repro.store import DiskStore, InMemoryStore
 from repro.webapp.application import WebApplication
 from repro.webapp.request import QueryStringSpec
 
@@ -85,7 +85,7 @@ SIZE_THRESHOLD = 200
 class BlockingReadStore(InMemoryStore):
     """An in-memory store whose hot-path reads block for a fixed latency.
 
-    Emulates the backend of a deployed search tier — remote shards, disk —
+    Emulates the backend of a deployed search tier — remote partitions, disk —
     where each postings/size/adjacency lookup is a round-trip.  Thread-pool
     concurrency overlaps those waits, which is what the worker-scaling
     section measures (pure in-memory reads are GIL-bound and cannot scale).
@@ -169,54 +169,48 @@ def as_comparable(results) -> List[Tuple]:
 # section 1: uncached vs cold vs hot cache
 # ----------------------------------------------------------------------
 def run_cache_comparison(fragments, workload) -> List[Dict]:
-    measurements = []
-    for backend, store_factory in (
-        ("memory", InMemoryStore),
-        ("sharded-4", lambda: ShardedStore(shards=4)),
-    ):
-        searcher = build_searcher(fragments, store_factory())
-        reference: Dict[Tuple[str, ...], List[Tuple]] = {}
-        uncached: List[float] = []
-        for keywords in workload:
-            started = time.perf_counter()
-            results = searcher.search(keywords, k=K, size_threshold=SIZE_THRESHOLD)
-            uncached.append(time.perf_counter() - started)
-            reference.setdefault(keywords, as_comparable(results))
+    searcher = build_searcher(fragments, InMemoryStore())
+    reference: Dict[Tuple[str, ...], List[Tuple]] = {}
+    uncached: List[float] = []
+    for keywords in workload:
+        started = time.perf_counter()
+        results = searcher.search(keywords, k=K, size_threshold=SIZE_THRESHOLD)
+        uncached.append(time.perf_counter() - started)
+        reference.setdefault(keywords, as_comparable(results))
 
-        service = SearchService(searcher, cache_size=4096, workers=1)
-        parity_ok = True
-        cold: List[float] = []
-        for keywords in workload:
-            started = time.perf_counter()
-            served = service.search(keywords, k=K, size_threshold=SIZE_THRESHOLD)
-            cold.append(time.perf_counter() - started)
-            parity_ok = parity_ok and as_comparable(served.results) == reference[keywords]
-        hot: List[float] = []
-        hot_hits = 0
-        for keywords in workload:
-            started = time.perf_counter()
-            served = service.search(keywords, k=K, size_threshold=SIZE_THRESHOLD)
-            hot.append(time.perf_counter() - started)
-            hot_hits += 1 if served.cached else 0
-            parity_ok = parity_ok and as_comparable(served.results) == reference[keywords]
+    service = SearchService(searcher, cache_size=4096, workers=1)
+    parity_ok = True
+    cold: List[float] = []
+    for keywords in workload:
+        started = time.perf_counter()
+        served = service.search(keywords, k=K, size_threshold=SIZE_THRESHOLD)
+        cold.append(time.perf_counter() - started)
+        parity_ok = parity_ok and as_comparable(served.results) == reference[keywords]
+    hot: List[float] = []
+    hot_hits = 0
+    for keywords in workload:
+        started = time.perf_counter()
+        served = service.search(keywords, k=K, size_threshold=SIZE_THRESHOLD)
+        hot.append(time.perf_counter() - started)
+        hot_hits += 1 if served.cached else 0
+        parity_ok = parity_ok and as_comparable(served.results) == reference[keywords]
 
-        summary_uncached = summarize_latencies(uncached)
-        summary_cold = summarize_latencies(cold)
-        summary_hot = summarize_latencies(hot)
-        measurements.append(
-            {
-                "backend": backend,
-                "uncached": summary_uncached,
-                "cold_cache": summary_cold,
-                "hot_cache": summary_hot,
-                "hot_hit_rate": hot_hits / len(workload),
-                "hot_speedup_vs_uncached": summary_uncached["mean_ms"] / summary_hot["mean_ms"],
-                "cold_speedup_vs_uncached": summary_uncached["mean_ms"] / summary_cold["mean_ms"],
-                "parity_ok": parity_ok,
-            }
-        )
-        service.close()
-    return measurements
+    summary_uncached = summarize_latencies(uncached)
+    summary_cold = summarize_latencies(cold)
+    summary_hot = summarize_latencies(hot)
+    service.close()
+    return [
+        {
+            "backend": "memory",
+            "uncached": summary_uncached,
+            "cold_cache": summary_cold,
+            "hot_cache": summary_hot,
+            "hot_hit_rate": hot_hits / len(workload),
+            "hot_speedup_vs_uncached": summary_uncached["mean_ms"] / summary_hot["mean_ms"],
+            "cold_speedup_vs_uncached": summary_uncached["mean_ms"] / summary_cold["mean_ms"],
+            "parity_ok": parity_ok,
+        }
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +240,7 @@ def run_worker_scaling(fragments, workload) -> Dict:
         point["speedup_vs_1_worker"] = point["throughput_qps"] / base
     return {
         "read_delay_us": DELAY_SECONDS * 1_000_000.0,
-        "note": "reads block (simulated remote shards); threads overlap the waits",
+        "note": "reads block (simulated remote partitions); threads overlap the waits",
         "points": points,
     }
 

@@ -11,6 +11,9 @@ they really generate db-pages containing the keyword.
 Run with:  python examples/quickstart.py
 """
 
+import os
+import tempfile
+
 from repro.analysis import ApplicationAnalyzer
 from repro.core import DashEngine
 from repro.datasets.fooddb import FOODDB_SEARCH_SERVLET_SOURCE, build_fooddb
@@ -59,18 +62,23 @@ def main() -> None:
         marker = "contains 'burger'" if page.contains_keyword("burger") else "MISSING KEYWORD"
         print(f"  {result.url} -> {page.record_count} result rows, {marker}")
 
-    # 6. The serving store is pluggable: the same engine over a sharded
-    #    backend (hash-partitioned, parallel lookup fan-out) returns exactly
-    #    the same ranked URLs — `store=` is the only change.
-    sharded_engine = DashEngine.build(
-        application, database, algorithm="integrated", store="sharded", shards=4
-    )
-    sharded_results = sharded_engine.search(["burger"], k=2, size_threshold=20)
-    stats = sharded_engine.statistics()
-    print(f"\nSame search on {stats['store_backend']} ({stats['store_shards']} shards):")
-    for rank, result in enumerate(sharded_results, start=1):
-        print(f"  {rank}. {result.url}  score={result.score:.4f}")
-    assert [r.url for r in sharded_results] == [r.url for r in results]
+    # 6. The serving store is pluggable: the same engine over the persistent
+    #    sqlite backend returns exactly the same ranked URLs — `store=` (and
+    #    where the file lives) is the only change.
+    with tempfile.TemporaryDirectory(prefix="repro-quickstart-") as directory:
+        disk_engine = DashEngine.build(
+            application,
+            database,
+            algorithm="integrated",
+            store="disk",
+            store_path=os.path.join(directory, "fooddb.sqlite"),
+        )
+        disk_results = disk_engine.search(["burger"], k=2, size_threshold=20)
+        print(f"\nSame search on {disk_engine.statistics()['store_backend']}:")
+        for rank, result in enumerate(disk_results, start=1):
+            print(f"  {rank}. {result.url}  score={result.score:.4f}")
+        assert [r.url for r in disk_results] == [r.url for r in results]
+        disk_engine.store.close()
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ update, observe epoch-based invalidation.
 
 Walks the serving layer end to end over the paper's running example:
 
-1. build a Dash engine over fooddb (sharded store);
+1. build a Dash engine over fooddb;
 2. wrap it in a ``SearchService`` (``engine.serving(...)``) — query admission,
    versioned LRU result cache, thread-pooled batches;
 3. serve a concurrent batch and show cold-vs-hot latencies;
@@ -25,7 +25,7 @@ from repro.webapp.request import QueryStringSpec
 
 
 def main() -> None:
-    # 1. Engine over fooddb, on the hash-partitioned store.
+    # 1. Engine over fooddb.
     database = build_fooddb()
     application = WebApplication(
         name="Search",
@@ -33,9 +33,9 @@ def main() -> None:
         query=fooddb_search_query(database),
         query_string_spec=QueryStringSpec((("c", "cuisine"), ("l", "min"), ("u", "max"))),
     )
-    engine = DashEngine.build(application, database, store="sharded", shards=4)
+    engine = DashEngine.build(application, database)
     print(f"engine built: {engine.index.fragment_count} fragments, "
-          f"{engine.store.shard_count} shards, store epoch {engine.store.epoch}")
+          f"store epoch {engine.store.epoch}")
 
     # 2. The serving layer: admission + versioned cache + worker pool.
     service = engine.serving(cache_size=256, workers=4, default_k=3, default_size_threshold=20)

@@ -34,7 +34,6 @@ from typing import Callable, Dict, Iterator, List, Sequence, Set, Tuple
 from repro.core.fragments import FragmentId
 from repro.cluster.partitioning import GroupPartitioner
 from repro.store.base import FragmentStore, StoreError
-from repro.store.epochs import EpochClock
 from repro.store.memory import posting_sort_key
 from repro.store.mutations import (
     Mutation,
@@ -58,9 +57,8 @@ class ClusterStore(FragmentStore):
         self,
         partitioner: GroupPartitioner,
         primary_resolver: Callable[[int], FragmentStore],
-        clock: "EpochClock" = None,
     ) -> None:
-        super().__init__(clock=clock)
+        super().__init__()
         self._partitioner = partitioner
         self._primary = primary_resolver
         self._mutation_listeners: List[Callable[[Set[str]], None]] = []
@@ -122,15 +120,6 @@ class ClusterStore(FragmentStore):
 
     def _primaries(self) -> List[FragmentStore]:
         return [self._primary(partition) for partition in range(self.partition_count)]
-
-    @property
-    def shard_count(self) -> int:
-        """Partitions double as shards for the searcher's fan-out seams."""
-        return self.partition_count
-
-    def shard_of(self, identifier: FragmentId) -> int:
-        """Same mapping as :meth:`partition_of` (the store-contract name)."""
-        return self.partition_of(identifier)
 
     # ------------------------------------------------------------------
     # postings section — writes

@@ -18,8 +18,9 @@
 Serving-side storage (postings, fragment sizes, graph adjacency) is pluggable
 through :mod:`repro.store`: the index and graph facades program against the
 :class:`~repro.store.FragmentStore` interface, with
-:class:`~repro.store.InMemoryStore` and the hash-partitioned
-:class:`~repro.store.ShardedStore` as backends.
+:class:`~repro.store.InMemoryStore` and the persistent
+:class:`~repro.store.DiskStore` as backends; splitting a corpus N ways is
+:meth:`DashEngine.cluster <repro.core.engine.DashEngine.cluster>`.
 """
 
 from repro.core.crawler import CrawlResult, IntegratedCrawler, StepwiseCrawler
@@ -31,7 +32,7 @@ from repro.core.incremental import IncrementalMaintainer
 from repro.core.scoring import DashScorer, PageStats
 from repro.core.search import DetailedSearch, SearchResult, SearchSession, TopKSearcher
 from repro.core.urls import UrlFormulator
-from repro.store import FragmentStore, InMemoryStore, ShardedStore, resolve_store
+from repro.store import FragmentStore, InMemoryStore, resolve_store
 
 __all__ = [
     "CrawlResult",
@@ -49,7 +50,6 @@ __all__ = [
     "PageStats",
     "SearchResult",
     "SearchSession",
-    "ShardedStore",
     "StepwiseCrawler",
     "TopKSearcher",
     "UrlFormulator",

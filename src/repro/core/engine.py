@@ -11,8 +11,7 @@ Wires the whole pipeline together for one web application over one database:
    :class:`~repro.store.FragmentStore` backend.
 3. **Fragment graph construction** — build the combinability graph, into the
    same store.
-4. **Top-k search** — answer keyword queries with db-page URLs (fanning
-   lookups out over the store's shards when it is partitioned).
+4. **Top-k search** — answer keyword queries with db-page URLs.
 """
 
 from __future__ import annotations
@@ -123,7 +122,6 @@ class DashEngine:
         presorted_graph: bool = True,
         num_reduce_tasks: int = 4,
         store: StoreSpec = None,
-        shards: Optional[int] = None,
         store_path: Optional[str] = None,
     ) -> "DashEngine":
         """Analyse, crawl, index and wire up a searchable engine.
@@ -136,19 +134,19 @@ class DashEngine:
         itself takes); otherwise the application's declared query is trusted.
 
         ``store`` selects the serving backend (see
-        :func:`repro.store.resolve_store`): ``"memory"`` (default),
-        ``"sharded"`` together with ``shards=N`` for a hash-partitioned store
-        whose lookups fan out in parallel, or ``"disk"`` together with
-        ``store_path=`` for a persistent sqlite store a later process can
-        re-attach to with :meth:`open` — no re-crawl.  The crawl output, the
-        fragment graph and the searcher all share the resolved store.
+        :func:`repro.store.resolve_store`): ``"memory"`` (default) or
+        ``"disk"`` together with ``store_path=`` for a persistent sqlite
+        store a later process can re-attach to with :meth:`open` — no
+        re-crawl.  The crawl output, the fragment graph and the searcher all
+        share the resolved store.  A store is one partition; to split the
+        built corpus N ways, call :meth:`cluster`.
         """
         if algorithm not in _CRAWLERS:
             raise DashEngineError(
                 f"unknown crawling algorithm {algorithm!r}; expected one of {sorted(_CRAWLERS)}"
             )
         try:
-            fragment_store = resolve_store(store, shards=shards, path=store_path)
+            fragment_store = resolve_store(store, path=store_path)
         except Exception as error:
             raise DashEngineError(str(error)) from error
         if fragment_store.fragment_count() or fragment_store.node_count():
@@ -207,7 +205,6 @@ class DashEngine:
         analyze_source: bool = True,
         presorted_graph: bool = True,
         store: StoreSpec = None,
-        shards: Optional[int] = None,
         store_path: Optional[str] = None,
     ) -> "DashEngine":
         """Build a searchable engine through the distributed batch pipeline.
@@ -230,15 +227,15 @@ class DashEngine:
         application's (possibly source-recovered) query.  ``retry_policy``
         governs worker-failure retries (and carries the test suite's fault
         injector); ``workdir`` pins the spool/shard directory (a temporary
-        directory otherwise).  Store selection (``store``/``shards``/
-        ``store_path``) matches :meth:`build`.
+        directory otherwise).  Store selection (``store``/``store_path``)
+        matches :meth:`build`.
         """
         # Imported here: repro.build programs against repro.core and the
         # stores, so a module-level import would be circular.
         from repro.build.pipeline import BuildPipeline
 
         try:
-            fragment_store = resolve_store(store, shards=shards, path=store_path)
+            fragment_store = resolve_store(store, path=store_path)
         except Exception as error:
             raise DashEngineError(str(error)) from error
         if fragment_store.fragment_count() or fragment_store.node_count():
@@ -541,7 +538,6 @@ class DashEngine:
             "application": self.application.name,
             "algorithm": algorithm,
             "store_backend": type(self.store).__name__,
-            "store_shards": self.store.shard_count,
             "fragments": self.index.fragment_count,
             "vocabulary": len(self.index),
             "average_keywords_per_fragment": self.index.average_keywords_per_fragment(),

@@ -24,7 +24,7 @@ optimisation.
 Node and adjacency storage is delegated to a pluggable
 :class:`~repro.store.FragmentStore` backend; pass the same store the inverted
 fragment index uses and the whole serving state (postings, sizes, adjacency)
-lives in one place, shard-partitioned consistently by fragment identifier.
+lives in one place.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ nodes and the top-k search uses against the size threshold ``s``.
 Storage is delegated to a pluggable :class:`~repro.store.FragmentStore`
 backend: the index canonicalises its inputs (keywords lower-cased, fragment
 identifiers coerced to tuples) and programs against the store interface, so
-the same code serves the single-partition :class:`~repro.store.InMemoryStore`
-and the hash-partitioned :class:`~repro.store.ShardedStore`.
+the same code serves the in-memory :class:`~repro.store.InMemoryStore` and
+the persistent :class:`~repro.store.DiskStore`.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ class InvertedFragmentIndex:
     def store(self) -> FragmentStore:
         """The storage backend (shared with the fragment graph by the engine)."""
         return self._store
-
-    @property
-    def shard_count(self) -> int:
-        return self._store.shard_count
 
     # ------------------------------------------------------------------
     # construction
@@ -95,8 +91,8 @@ class InvertedFragmentIndex:
     def replace_fragment(self, identifier: FragmentId, term_frequencies: Mapping[str, int]) -> None:
         """Replace a fragment's postings (incremental maintenance).
 
-        A single store operation, so on partitioned backends the swap happens
-        atomically inside the fragment's owning shard.
+        A single store operation, so on a partitioned cluster the swap
+        happens atomically inside the fragment's owning partition.
         """
         identifier = tuple(identifier)
         # Pairs, not a dict: distinct keys that lower-case to the same keyword
@@ -118,9 +114,9 @@ class InvertedFragmentIndex:
         coerced to tuples, keywords lower-cased — distinct keys that
         lower-case to the same keyword accumulate, non-positive counts
         dropped) before the store sees them.  The store applies the whole
-        batch natively — one dictionary pass, one per-shard fan-out, or one
-        crash-safe transaction — and ticks its epoch clock once.  Returns
-        the number of ops applied after coalescing.
+        batch natively — one dictionary pass or one crash-safe transaction
+        — and ticks its epoch clock once.  Returns the number of ops applied
+        after coalescing.
         """
         from repro.store.mutations import ReplaceFragment, replace_op
 
@@ -161,8 +157,8 @@ class InvertedFragmentIndex:
         """The inverted lists of all ``keywords`` in one batched store read.
 
         Keys are the canonical (lower-cased) keywords.  This is the scorer's
-        construction path: a multi-keyword query costs one shard fan-out /
-        one sqlite query instead of one per keyword.
+        construction path: a multi-keyword query costs one sqlite query
+        instead of one per keyword.
         """
         return self._store.postings_for_many([keyword.lower() for keyword in keywords])
 

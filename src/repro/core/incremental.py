@@ -33,8 +33,8 @@ backend that makes the whole round one crash-safe sqlite transaction; on
 every backend the round finalizes the index exactly once and ticks the
 epoch clock once, so serving caches drop precisely the entries the round
 could have changed.  Because a fragment's postings, size and graph node
-all live on the identifier's owning shard, the batch fans out per shard on
-partitioned backends.
+all live on the identifier's owning partition, a cluster routes the batch
+per partition.
 """
 
 from __future__ import annotations

@@ -139,11 +139,11 @@ class DashScorer:
             )
         else:
             # Exhaustive mode: one batched store read gathers every query
-            # keyword's full inverted list (a single shard fan-out / one
-            # sqlite query).  Lists are impact-ordered, so on a duplicated
-            # (keyword, fragment) posting the first entry carries the
-            # maximum occurrence count — keep it, matching the stores'
-            # ``fragment_term_frequencies`` and the lazy decode path.
+            # keyword's full inverted list (one sqlite query on disk).  Lists
+            # are impact-ordered, so on a duplicated (keyword, fragment)
+            # posting the first entry carries the maximum occurrence count —
+            # keep it, matching the stores' ``fragment_term_frequencies`` and
+            # the lazy decode path.
             gathered = index.postings_for_many(self.keywords)
             relevant = self._relevant
             for keyword in self.keywords:
@@ -419,8 +419,8 @@ class DashScorer:
         """Single-fragment scores of just ``identifiers``.
 
         The per-identifier accumulation runs in keyword order, skipping zero
-        totals, exactly like :meth:`score` — so a sharded searcher can score
-        each shard's seeds in its own task and still merge bit-identical
+        totals, exactly like :meth:`score` — so bounded-mode materialization
+        can score one decoded batch at a time and still produce bit-identical
         floats.
         """
         self.ensure_known(identifiers)

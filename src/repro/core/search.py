@@ -13,7 +13,7 @@ the ``k`` most relevant ones:
 4. stop when ``k`` results are collected or the queue empties, and formulate
    the result URLs by reverse query-string parsing.
 
-Four implementation notes beyond the paper's pseudo-code:
+Three implementation notes beyond the paper's pseudo-code:
 
 * **Exact block-max early termination** — seeds are *not* even read up
   front.  Each query keyword's impact-ordered inverted list is served as
@@ -31,7 +31,7 @@ Four implementation notes beyond the paper's pseudo-code:
   dropped before the queue here, so ``SearchStatistics.dequeues`` can be
   lower in bounded mode while results stay byte-identical); blocks whose
   bound never reaches the frontier are never decoded at all, which is where
-  partitioned and on-disk backends stop paying for thousands of row decodes
+  on-disk and cluster backends stop paying for thousands of row decodes
   and size reads per query.  The same argument prunes expansion candidates:
   an irrelevant candidate can never out-prefer a relevant one (the
   relevance tier dominates the preference order), and a relevant candidate
@@ -42,13 +42,6 @@ Four implementation notes beyond the paper's pseudo-code:
   score-every-seed reference, which reads whole inverted lists up front and
   shares only the expand-and-requeue step (the property suite checks the
   two byte-identical, and both against ``tests/oracle.py``).
-* **Sharded seeding** — on a partitioned
-  :class:`~repro.store.FragmentStore`, materialization batches read their
-  sizes through ``fragment_sizes_for`` (one fan-out per batch); the
-  exhaustive path groups seeds by owning shard and scores them in a
-  parallel fan-out.  Heap order depends only on the ``(score, seed
-  position)`` keys, so any shard count dequeues in exactly the single-shard
-  order.
 * **Pending-page state** — a queued db-page is more than its member tuple:
   a :class:`_PendingPage` record rides with it from its first dequeue to its
   emission, holding the page's exact integer occurrence totals and size, its
@@ -72,7 +65,6 @@ Four implementation notes beyond the paper's pseudo-code:
 from __future__ import annotations
 
 import heapq
-import itertools
 import threading
 import time
 from bisect import bisect
@@ -525,37 +517,16 @@ class TopKSearcher:
     ) -> List[QueueEntry]:
         """Build the initial priority queue of single-fragment pending pages.
 
-        On a partitioned store the seeds are grouped by owning shard and each
-        shard's task *scores its own seeds* before emitting queue entries; the
-        per-shard entry lists are then merged into the global priority queue
-        with one heapify.  Heap pops are ordered purely by the
-        ``(-score, (0, identifier order))`` keys — identical for any shard
-        count, and identical to the keys bounded-mode materialization pushes.
+        Heap pops are ordered purely by the ``(-score, (0, identifier
+        order))`` keys — identical to the keys bounded-mode materialization
+        pushes.
         """
         scorer.prime_sizes(seeds)  # one batched read, not one per seed
-        store = self.index.store
-        if store.shard_count > 1 and len(seeds) > 1:
-            by_shard: Dict[int, List[FragmentId]] = {}
-            for identifier in seeds:
-                by_shard.setdefault(store.shard_of(identifier), []).append(identifier)
-
-            def shard_entries(items: List[FragmentId]) -> List[QueueEntry]:
-                scores = scorer.seed_scores_for(items)
-                return [
-                    (-scores[identifier], (0, order(identifier)), (identifier,))
-                    for identifier in items
-                ]
-
-            parts = store.run_parallel(
-                [lambda items=items: shard_entries(items) for items in by_shard.values()]
-            )
-            queue = list(itertools.chain.from_iterable(parts))
-        else:
-            seed_scores = scorer.seed_scores()
-            queue = [
-                (-seed_scores[identifier], (0, order(identifier)), (identifier,))
-                for identifier in seeds
-            ]
+        seed_scores = scorer.seed_scores()
+        queue = [
+            (-seed_scores[identifier], (0, order(identifier)), (identifier,))
+            for identifier in seeds
+        ]
         heapq.heapify(queue)
         return queue
 

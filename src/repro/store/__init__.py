@@ -4,8 +4,6 @@
   serving structure programs against.
 * :mod:`repro.store.memory` — :class:`InMemoryStore`, the single-partition
   backend (the seed implementation's dictionaries, extracted).
-* :mod:`repro.store.sharded` — :class:`ShardedStore`, hash-partitioned over
-  N in-memory shards with a ``concurrent.futures`` read fan-out.
 * :mod:`repro.store.disk` — :class:`DiskStore`, the persistent sqlite3
   backend: the crawl, the graph and the epoch clock survive process exit,
   and ``replace_fragment`` swaps are crash-safe single transactions.
@@ -19,8 +17,10 @@
   applies as one store operation.
 
 :func:`resolve_store` turns the ``store=`` configuration accepted by
-:class:`~repro.core.engine.DashEngine` (a name, a shard count, an instance or
-a factory) into a concrete backend.
+:class:`~repro.core.engine.DashEngine` (a name, an instance or a factory)
+into a concrete backend.  A store is always a single partition; splitting a
+corpus N ways is :meth:`DashEngine.cluster(nodes=..., partitions=...)
+<repro.core.engine.DashEngine.cluster>`.
 """
 
 from __future__ import annotations
@@ -41,94 +41,47 @@ from repro.store.mutations import (
     coalesce_mutations,
     replace_op,
 )
-from repro.store.sharded import ShardedStore
 
 #: What ``DashEngine.build(store=...)`` accepts.
-StoreSpec = Union[None, str, int, FragmentStore, Callable[[], FragmentStore]]
-
-_DEFAULT_SHARDS = 4
+StoreSpec = Union[None, str, FragmentStore, Callable[[], FragmentStore]]
 
 
-def resolve_store(
-    spec: StoreSpec = None,
-    shards: Optional[int] = None,
-    path: Optional[str] = None,
-) -> FragmentStore:
+def resolve_store(spec: StoreSpec = None, path: Optional[str] = None) -> FragmentStore:
     """Resolve a store configuration into a :class:`FragmentStore` backend.
 
-    * ``None`` — a fresh :class:`InMemoryStore`, or a :class:`ShardedStore`
-      when ``shards`` of 2+ is given;
-    * ``"memory"`` — a fresh :class:`InMemoryStore` (combining it with
-      ``shards`` of 2+ is a conflicting spec and raises);
-    * ``"sharded"`` — a :class:`ShardedStore` with ``shards`` partitions
-      (default 4);
+    * ``None`` or ``"memory"`` — a fresh :class:`InMemoryStore`;
     * ``"disk"`` — a persistent :class:`DiskStore` at ``path``; without a
       ``path`` the database lands in a fresh temporary file (its location is
-      the store's ``.path``).  Combining it with ``shards`` of 2+ raises;
-    * an ``int`` — a :class:`ShardedStore` with that many partitions (a
-      different ``shards=`` alongside it is a conflicting spec and raises);
+      the store's ``.path``);
     * a :class:`FragmentStore` instance — used as-is;
     * a zero-argument callable — called to produce the backend.
 
     ``path`` is only meaningful for ``"disk"``; passing it with any other
     spec is a conflicting spec and raises.
     """
-    if shards is not None and shards < 1:
-        raise StoreError(f"shard count must be at least 1, got {shards}")
     if path is not None and spec != "disk":
         raise StoreError(
             f"conflicting store spec: path={path!r} is only valid with store='disk', "
             f"got store={spec!r}"
         )
     if isinstance(spec, FragmentStore):
-        return _checked_shards(spec, shards)
+        return spec
     if callable(spec):
         store = spec()
         if not isinstance(store, FragmentStore):
             raise StoreError(f"store factory returned {type(store).__name__}, not a FragmentStore")
-        return _checked_shards(store, shards)
-    if isinstance(spec, bool):
-        raise StoreError(f"invalid store spec {spec!r}")
-    if isinstance(spec, int):
-        if shards is not None and shards != spec:
-            raise StoreError(f"conflicting store spec: store={spec} with shards={shards}")
-        return ShardedStore(shards=spec)
-    if spec is None:
-        if shards is not None and shards > 1:
-            return ShardedStore(shards=shards)
+        return store
+    if spec is None or spec == "memory":
         return InMemoryStore()
-    if spec == "memory":
-        if shards is not None and shards > 1:
-            raise StoreError(
-                f"conflicting store spec: store='memory' with shards={shards}; "
-                "use store='sharded' (or drop store=) to partition"
-            )
-        return InMemoryStore()
-    if spec == "sharded":
-        return ShardedStore(shards=_DEFAULT_SHARDS if shards is None else shards)
     if spec == "disk":
-        if shards is not None and shards > 1:
-            raise StoreError(
-                f"conflicting store spec: store='disk' with shards={shards}; "
-                "the disk backend is single-partition"
-            )
         if path is None:
             descriptor, path = tempfile.mkstemp(prefix="repro-diskstore-", suffix=".sqlite")
             os.close(descriptor)
         return DiskStore(path)
     raise StoreError(
-        f"unknown store spec {spec!r}; expected 'memory', 'sharded', 'disk', a shard "
-        "count, a FragmentStore or a factory"
+        f"unknown store spec {spec!r}; expected 'memory', 'disk', a FragmentStore "
+        "or a factory"
     )
-
-
-def _checked_shards(store: FragmentStore, shards: Optional[int]) -> FragmentStore:
-    if shards is not None and shards != store.shard_count:
-        raise StoreError(
-            f"conflicting store spec: a {type(store).__name__} with "
-            f"{store.shard_count} shard(s) was given alongside shards={shards}"
-        )
-    return store
 
 
 __all__ = [
@@ -139,7 +92,6 @@ __all__ = [
     "Mutation",
     "RemoveFragment",
     "ReplaceFragment",
-    "ShardedStore",
     "StoreError",
     "StoreSpec",
     "TouchFragment",

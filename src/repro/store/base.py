@@ -3,8 +3,9 @@
 Every serving-side structure of the reproduction — the inverted fragment
 index, the fragment graph, the top-k searcher and the incremental
 maintainer — programs against :class:`FragmentStore` instead of private
-dictionaries, so the storage backend can be swapped (single in-memory blob,
-hash-sharded partitions, ...) without touching the algorithms.
+dictionaries, so the storage backend can be swapped (in-memory dictionaries,
+a persistent sqlite file, a cluster facade, ...) without touching the
+algorithms.
 
 The store keeps two sections that the paper's serving pipeline needs:
 
@@ -24,8 +25,8 @@ Contract notes shared by all backends:
   conventional inverted file of Section II;
 * :meth:`replace_fragment` removes and re-adds one fragment's postings as a
   single store operation, which is what makes incremental maintenance
-  (Section VIII) safe on partitioned backends: the fragment's postings never
-  straddle two partitions, so the swap happens entirely inside one shard.
+  (Section VIII) safe on a partitioned cluster: the fragment's postings never
+  straddle two partitions, so the swap happens entirely inside one of them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import contextlib
 import threading
 import weakref
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.fragments import FragmentId
 from repro.store.epochs import EpochClock
@@ -47,8 +48,6 @@ from repro.store.mutations import (
 )
 from repro.text.inverted_index import Posting
 
-T = TypeVar("T")
-
 
 class StoreError(Exception):
     """Raised for invalid store configuration or inconsistent operations."""
@@ -57,15 +56,14 @@ class StoreError(Exception):
 class FragmentStore(ABC):
     """Abstract storage for fragment postings, sizes and graph adjacency.
 
-    Every store owns an :class:`~repro.store.EpochClock` (created here, or
-    injected so an embedding store can share one with its partitions).
-    Ticking it **after every completed write** is part of the write-method
-    contract: the serving layer's caches revalidate against it, and a
-    backend whose writes do not tick would be read as permanently fresh.
+    Every store owns an :class:`~repro.store.EpochClock`.  Ticking it
+    **after every completed write** is part of the write-method contract:
+    the serving layer's caches revalidate against it, and a backend whose
+    writes do not tick would be read as permanently fresh.
     """
 
-    def __init__(self, clock: Optional["EpochClock"] = None) -> None:
-        self._epoch_clock = clock if clock is not None else EpochClock()
+    def __init__(self) -> None:
+        self._epoch_clock = EpochClock()
         # Resolvers yielding the oldest-stamp callback of each live consumer
         # revalidating against the clock (weak for bound methods);
         # sweep_epochs takes their minimum (see register_stamp_provider).
@@ -268,8 +266,7 @@ class FragmentStore(ABC):
         implementation brackets a per-op loop in :meth:`write_batch` and
         finalizes once at the end, and the concrete backends replace the
         loop with their native bulk form — a single locked dictionary pass
-        (:class:`~repro.store.InMemoryStore`), a per-shard grouped fan-out
-        (:class:`~repro.store.ShardedStore`), or one crash-safe transaction
+        (:class:`~repro.store.InMemoryStore`) or one crash-safe transaction
         (:class:`~repro.store.DiskStore`).  Every backend leaves the
         inverted lists canonical (sorted); the shipped backends additionally
         tick the epoch clock exactly once for the whole batch (the base
@@ -305,10 +302,9 @@ class FragmentStore(ABC):
 
         Returns ``keyword -> sorted postings`` (empty tuple for unknown
         keywords; duplicate inputs collapse).  The base implementation loops
-        :meth:`postings`; partitioned and on-disk backends override it to
-        answer the whole batch with a single fan-out / a single query, which
-        is what makes scorer construction one store round-trip instead of
-        one per query keyword.
+        :meth:`postings`; the on-disk backend overrides it to answer the
+        whole batch with a single query, which is what makes scorer
+        construction one store round-trip instead of one per query keyword.
         """
         return {keyword: self.postings(keyword) for keyword in dict.fromkeys(keywords)}
 
@@ -366,8 +362,8 @@ class FragmentStore(ABC):
         the lazy scorer's vector-fill path: a fragment materialized from one
         keyword's decoded block needs its other query keywords' counts
         without decoding those keywords' lists.  The base implementation
-        loops :meth:`fragment_term_frequencies`; partitioned and on-disk
-        backends batch per shard / per query.
+        loops :meth:`fragment_term_frequencies`; the on-disk and cluster
+        backends batch per query / per partition.
         """
         return {
             identifier: self.fragment_term_frequencies(identifier)
@@ -383,7 +379,7 @@ class FragmentStore(ABC):
         """Identifier -> size of every stored fragment."""
 
     def fragment_sizes_for(self, identifiers: Sequence[FragmentId]) -> Dict[FragmentId, int]:
-        """Sizes of just ``identifiers`` (partitioned backends batch per shard)."""
+        """Sizes of just ``identifiers`` in one batched read."""
         return {identifier: self.fragment_size(identifier) for identifier in identifiers}
 
     @abstractmethod
@@ -505,53 +501,30 @@ class FragmentStore(ABC):
     def from_snapshot(
         path: str,
         store=None,
-        shards: Optional[int] = None,
         store_path: Optional[str] = None,
     ) -> "FragmentStore":
         """Load a snapshot written by :meth:`snapshot` into a fresh backend.
 
-        ``store``/``shards``/``store_path`` accept everything
+        ``store``/``store_path`` accept everything
         :func:`repro.store.resolve_store` does, so a snapshot taken from an
-        in-memory store can be restored into a sharded or on-disk one (and
-        vice versa) — ``store_path`` picks where a ``store="disk"`` restore
-        lands its sqlite file.  The restored store's epoch clock matches the
+        in-memory store can be restored into an on-disk one (and vice versa)
+        — ``store_path`` picks where a ``store="disk"`` restore lands its
+        sqlite file.  The restored store's epoch clock matches the
         snapshotted one exactly, so serving-layer cache stamps taken against
         the original store stay comparable.
         """
         from repro.store.snapshot import load_snapshot
 
-        return load_snapshot(path, store=store, shards=shards, store_path=store_path)
+        return load_snapshot(path, store=store, store_path=store_path)
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release any resources the backend holds (thread pools, files).
+        """Release any resources the backend holds (files, connections).
 
-        The base implementation is a no-op; :class:`ShardedStore` shuts its
-        read executor down and :class:`DiskStore` closes its sqlite
-        connections (the write connection and every pooled reader).  Closing
-        is idempotent; reads after ``close()`` are undefined for backends
-        that hold external resources.
+        The base implementation is a no-op; :class:`DiskStore` closes its
+        sqlite connections (the write connection and every pooled reader).
+        Closing is idempotent; reads after ``close()`` are undefined for
+        backends that hold external resources.
         """
-
-    # ------------------------------------------------------------------
-    # partitioning
-    # ------------------------------------------------------------------
-    @property
-    def shard_count(self) -> int:
-        """Number of partitions (1 for unpartitioned backends)."""
-        return 1
-
-    def shard_of(self, identifier: FragmentId) -> int:
-        """The partition owning ``identifier``."""
-        return 0
-
-    def run_parallel(self, tasks: Sequence[Callable[[], T]]) -> List[T]:
-        """Run independent read tasks, fanning out when the backend supports it.
-
-        The base implementation runs them serially; :class:`ShardedStore`
-        dispatches them to its thread pool.  Results keep task order either
-        way, so callers stay deterministic.
-        """
-        return [task() for task in tasks]

@@ -18,7 +18,7 @@ Two properties are load-bearing:
   sorted posting list and the current fragment sizes.  Every backend builds
   its summaries through :func:`build_summaries` over the same entries and the
   same integer sizes, so the floats (and therefore the skip/decode counts)
-  are identical on the memory, sharded and disk backends.
+  are identical on the memory and disk backends.
 * **Admissibility under staleness** — a summary's ``max_weight`` may only
   ever be *stale-high* (a fragment's size can grow through ``add_posting``
   without its other keywords' stored blocks being rebuilt until the next

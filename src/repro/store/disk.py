@@ -75,8 +75,8 @@ ever merging, and the stored ``max_weight`` values are bit-identical to
 what the in-memory backends compute fresh (cross-backend skip statistics
 stay equal).  Between commits a stale summary can only be stale-*high*
 (sizes grow monotonically within a transaction), which loosens bounds but
-never breaks exactness.  Opening a v1 file with a writer migrates it to v2
-in one transaction (readers refuse v1 files and ask for a writer open).
+never breaks exactness.  A file stamped with any other schema version is
+refused with a :class:`~repro.store.StoreError` on open.
 
 Thread-safety and the read-connection pool
 ------------------------------------------
@@ -86,7 +86,7 @@ Writes go through one shared connection guarded by an
 **not** share it: every reader thread lazily opens its own read-only
 connection (``PRAGMA query_only=ON``) the first time it touches the store
 and keeps it for the thread's life, so concurrent serving-layer readers —
-``SearchService.search_many`` workers, the sharded fan-out pattern — run
+``SearchService.search_many`` workers, cluster partition streams — run
 their SQL genuinely in parallel under WAL instead of convoying behind one
 lock.  ``close()`` closes the write connection *and* every pooled reader.
 
@@ -98,8 +98,7 @@ Two read paths fall back to the locked write connection on purpose:
 * a store that never sees a second thread only ever creates the one
   pooled reader, so the single-threaded cost is one extra ``connect``.
 
-Hot reads are additionally cached in memory with epoch validation, the
-same scheme :class:`~repro.store.ShardedStore` uses for merged postings:
+Hot reads are additionally cached in memory with epoch validation:
 keyword -> postings and fragment -> size entries are stamped with the
 store epoch and revalidated against the clock per lookup, so a warm
 searcher reads dictionaries, not SQL, until maintenance actually touches
@@ -136,9 +135,6 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 #: Bump when the table layout changes; stored in ``PRAGMA user_version``.
 SCHEMA_VERSION = 2
-
-#: The pre-block row-per-posting layout; migrated in place on writer open.
-_V1_SCHEMA_VERSION = 1
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -347,10 +343,10 @@ class DiskStore(FragmentStore):
             self._connection.execute("PRAGMA busy_timeout=5000")
             self._ensure_schema(existed)
             # Decoded-identifier memo (encoded text -> tuple) plus
-            # epoch-validated read caches, mirroring ShardedStore's merged
-            # postings: hot keywords and hot fragment sizes skip the SQL
-            # round-trip until their epoch moves.  Guarded by their own lock
-            # so pooled readers never serialize behind the write lock.
+            # epoch-validated read caches: hot keywords and hot fragment
+            # sizes skip the SQL round-trip until their epoch moves.  Guarded
+            # by their own lock so pooled readers never serialize behind the
+            # write lock.
             self._decoded: Dict[str, FragmentId] = {}
             self._cache_lock = threading.Lock()
             self._postings_cache: Dict[str, Tuple[int, Tuple[Posting, ...]]] = {}
@@ -417,72 +413,23 @@ class DiskStore(FragmentStore):
     def _ensure_schema(self, existed: bool) -> None:
         with self._lock:
             version = self._connection.execute("PRAGMA user_version").fetchone()[0]
-            if existed and version not in (0, _V1_SCHEMA_VERSION, SCHEMA_VERSION):
+            if existed and version not in (0, SCHEMA_VERSION):
                 raise StoreError(
                     f"disk store {self.path!r} uses schema version {version}, "
                     f"this build reads version {SCHEMA_VERSION}"
                 )
             if self.read_only:
-                # A reader cannot create what is missing — and must not
-                # migrate a v1 file either (migration writes).
+                # A reader cannot create what is missing.
                 if version != SCHEMA_VERSION:
                     raise StoreError(
                         f"disk store {self.path!r} holds no readable "
                         f"version-{SCHEMA_VERSION} schema (open it with a "
-                        "writer once to build or migrate it)"
+                        "writer once to build it)"
                     )
                 return
             self._connection.executescript(_SCHEMA)
-            # The migration's data moves, the DROP of the v1 table and the
-            # user_version bump all join one implicit transaction: a crash
-            # mid-migration leaves the file at v1 and the next writer open
-            # redoes it from scratch (the migration's leading DELETEs make
-            # the redo idempotent).
-            if version == _V1_SCHEMA_VERSION:
-                self._migrate_v1_postings()
             self._connection.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
             self._connection.commit()
-
-    def _migrate_v1_postings(self) -> None:
-        """One-time v1 -> v2 migration: fold the row-per-posting table into
-        block BLOBs plus the per-fragment forward index, then drop it."""
-        connection = self._connection
-        for table in ("posting_blocks", "fragment_terms", "staged_postings", "pending_removals"):
-            connection.execute(f"DELETE FROM {table}")
-        sizes = dict(connection.execute("SELECT id, size FROM fragments"))
-        # Forward index first: pairs land occurrences-descending per
-        # fragment, so the decoder's max-wins fold picks the same winner the
-        # v1 ``ORDER BY occurrences DESC LIMIT 1`` queries did.
-        vectors: Dict[str, bytearray] = {}
-        for encoded, keyword, occurrences in connection.execute(
-            "SELECT fragment, keyword, occurrences FROM postings "
-            "ORDER BY fragment, occurrences DESC, seq ASC"
-        ).fetchall():
-            blob = vectors.setdefault(encoded, bytearray())
-            raw = keyword.encode("utf-8")
-            encode_uvarint(len(raw), blob)
-            blob += raw
-            encode_uvarint(occurrences, blob)
-        connection.executemany(
-            "INSERT INTO fragment_terms (fragment, terms) VALUES (?, ?)",
-            [(encoded, bytes(blob)) for encoded, blob in vectors.items()],
-        )
-        # Inverted lists in canonical order, cut into blocks per keyword.
-        current: Optional[str] = None
-        entries: List[Tuple[str, int]] = []
-        for keyword, encoded, occurrences in connection.execute(
-            "SELECT keyword, fragment, occurrences FROM postings "
-            "ORDER BY keyword, occurrences DESC, tie ASC, seq ASC"
-        ).fetchall():
-            if keyword != current:
-                if current is not None:
-                    self._write_keyword_blocks(current, entries, sizes)
-                current = keyword
-                entries = []
-            entries.append((encoded, occurrences))
-        if current is not None:
-            self._write_keyword_blocks(current, entries, sizes)
-        connection.execute("DROP TABLE postings")
 
     def _write_keyword_blocks(
         self,

@@ -11,12 +11,11 @@ each removal, O(keywords x postings) per incremental delete).
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.core.fragments import FragmentId
 from repro.store.base import FragmentStore
 from repro.store.blocks import KeywordBlocks, keyword_blocks_from_postings
-from repro.store.epochs import EpochClock
 from repro.store.mutations import RemoveFragment, ReplaceFragment, normalize_mutations
 from repro.text.inverted_index import Posting
 
@@ -29,10 +28,8 @@ def posting_sort_key(posting: Posting):
 class InMemoryStore(FragmentStore):
     """All postings, sizes and adjacency in plain dictionaries."""
 
-    def __init__(self, clock: Optional[EpochClock] = None) -> None:
-        # ``clock`` lets an embedding store (ShardedStore) share one
-        # authoritative clock with all of its shards.
-        super().__init__(clock)
+    def __init__(self) -> None:
+        super().__init__()
         # Serializes postings-section mutators against finalize's sort-swap.
         # Reads stay lock-free: every mutation replaces whole lists (or
         # appends), so a racing reader sees a complete list, never a torn
@@ -113,20 +110,6 @@ class InMemoryStore(FragmentStore):
         ops = normalize_mutations(batch)
         if not ops:
             return 0
-        count, keywords, fragments = self.apply_mutation_ops(ops)
-        if keywords or fragments:
-            self._epoch_clock.tick_batch(keywords, fragments)
-        return count
-
-    def apply_mutation_ops(self, ops) -> Tuple[int, Set[str], Set[FragmentId]]:
-        """The tick-free core of :meth:`apply_mutations` (shard-internal).
-
-        Applies already-normalized ops and returns ``(count, affected
-        keywords, affected fragments)`` *without* ticking the clock — the
-        caller owns the batch's single tick, which is how
-        :class:`~repro.store.ShardedStore` fans a batch out over its shards
-        and still commits it as one epoch on the shared clock.
-        """
         affected_keywords: Set[str] = set()
         affected_fragments: Set[FragmentId] = set()
         with self._postings_lock:
@@ -179,7 +162,9 @@ class InMemoryStore(FragmentStore):
                     if postings is not None:
                         self._postings[keyword] = sorted(postings, key=posting_sort_key)
                 self._sorted = True
-        return len(ops), affected_keywords, affected_fragments
+        if affected_keywords or affected_fragments:
+            self._epoch_clock.tick_batch(affected_keywords, affected_fragments)
+        return len(ops)
 
     def finalize(self) -> None:
         if self._sorted:
@@ -242,10 +227,6 @@ class InMemoryStore(FragmentStore):
             directories[keyword] = blocks
         return directories
 
-    def raw_postings(self, keyword: str) -> List[Posting]:
-        """The keyword's posting list without sorting (shard-merge internal)."""
-        return self._postings.get(keyword, [])
-
     def fragment_frequency(self, keyword: str) -> int:
         return len(self._postings.get(keyword, ()))
 
@@ -268,10 +249,6 @@ class InMemoryStore(FragmentStore):
             identifier: dict(keyword_maps.get(identifier, {}))
             for identifier in dict.fromkeys(identifiers)
         }
-
-    def fragment_keywords(self, identifier: FragmentId) -> Tuple[str, ...]:
-        """The keywords whose inverted lists mention ``identifier``."""
-        return tuple(self._fragment_keywords.get(identifier, ()))
 
     def fragment_size(self, identifier: FragmentId) -> int:
         return self._fragment_sizes.get(identifier, 0)
@@ -358,9 +335,5 @@ class InMemoryStore(FragmentStore):
     def neighbors(self, identifier: FragmentId) -> Tuple[FragmentId, ...]:
         return tuple(self._adjacency[identifier])
 
-    def half_edge_count(self) -> int:
-        """Directed neighbour entries (a sharded store halves the global sum)."""
-        return sum(len(neighbors) for neighbors in self._adjacency.values())
-
     def edge_count(self) -> int:
-        return self.half_edge_count() // 2
+        return sum(len(neighbors) for neighbors in self._adjacency.values()) // 2

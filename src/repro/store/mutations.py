@@ -15,8 +15,7 @@ section:
 
 :meth:`repro.store.FragmentStore.apply_mutations` applies a whole batch as
 one store operation: a single dictionary pass in
-:class:`~repro.store.InMemoryStore`, one grouped fan-out over the owning
-shards in :class:`~repro.store.ShardedStore`, and a single crash-safe sqlite
+:class:`~repro.store.InMemoryStore` and a single crash-safe sqlite
 transaction (data *and* epoch write-through together) in
 :class:`~repro.store.DiskStore`.  Each applied batch ticks the store's
 :class:`~repro.store.EpochClock` once, stamping every keyword and fragment

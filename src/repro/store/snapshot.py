@@ -6,7 +6,7 @@ nodes, adjacency and the full :class:`~repro.store.EpochClock` state.  It is
 written atomically (temp file in the target directory, then ``os.replace``)
 so a crash mid-write leaves the previous snapshot intact, and it restores
 into *any* backend: benchmarks build a dataset once in memory, snapshot it,
-and restore it into sharded or on-disk stores without re-crawling.
+and restore it into on-disk stores or cluster partitions without re-crawling.
 
 The clock travels with the data on purpose: a serving cache stamp taken
 against the snapshotted store is still meaningful against the restored one,
@@ -94,13 +94,12 @@ def write_snapshot(store, path: str) -> str:
 def load_snapshot(
     path: str,
     store=None,
-    shards: Optional[int] = None,
     store_path: Optional[str] = None,
 ):
-    """Restore a snapshot into a fresh backend resolved from ``store``/``shards``.
+    """Restore a snapshot into a fresh backend resolved from ``store``.
 
     ``store`` accepts everything :func:`repro.store.resolve_store` does
-    (``None``/``"memory"``/``"sharded"``/``"disk"``/instances/factories);
+    (``None``/``"memory"``/``"disk"``/instances/factories);
     ``store_path`` is where a ``store="disk"`` restore lands its sqlite
     file (a fresh temp file when omitted).  The target must be empty —
     restoring on top of existing fragments would corrupt sizes and document
@@ -116,7 +115,7 @@ def load_snapshot(
             f"this build reads format {FORMAT_VERSION}"
         )
     created = not isinstance(store, FragmentStore)
-    target = resolve_store(store, shards=shards, path=store_path)
+    target = resolve_store(store, path=store_path)
     if target.fragment_count() or target.node_count():
         raise StoreError("snapshots must be restored into an empty store")
 

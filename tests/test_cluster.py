@@ -207,15 +207,21 @@ class TestClusterStore:
 # routed search parity (deterministic matrix)
 # ----------------------------------------------------------------------
 class TestRoutedParity:
-    @pytest.mark.parametrize("nodes", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "nodes, partitions",
+        [(1, None), (2, None), (4, None), (1, 4)],
+        ids=["1", "2", "4", "1x4"],  # 1x4: in-process partitioning, one node
+    )
     @pytest.mark.parametrize("backend", ["memory", "disk"])
-    def test_routed_matches_single_store(self, nodes, backend, tmp_path):
+    def test_routed_matches_single_store(self, nodes, partitions, backend, tmp_path):
         store, searcher = build_corpus(synthetic_corpus(90, seed=13))
         cluster = SearchCluster.build(
             QUERY, SPEC, URI, store,
-            nodes=nodes, replicas=2, node_store=backend, store_dir=str(tmp_path),
+            nodes=nodes, partitions=partitions, replicas=2,
+            node_store=backend, store_dir=str(tmp_path),
         )
         try:
+            assert cluster.partition_count == (partitions or nodes)
             assert_parity(searcher, cluster, QUERIES)
             for k in (1, 3, 25):
                 assert_parity(searcher, cluster, (["burger"],), k=k)

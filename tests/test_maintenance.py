@@ -28,7 +28,6 @@ from repro.store import (
     DiskStore,
     InMemoryStore,
     RemoveFragment,
-    ShardedStore,
     StoreError,
     TouchFragment,
     coalesce_mutations,
@@ -44,8 +43,6 @@ URI = "www.example.com/Search"
 def store_factories(tmp_path):
     return {
         "memory": InMemoryStore,
-        "sharded-2": lambda: ShardedStore(shards=2),
-        "sharded-8": lambda: ShardedStore(shards=8),
         "disk": lambda: DiskStore(os.path.join(str(tmp_path), "batch.sqlite")),
     }
 
@@ -82,7 +79,7 @@ BATCH = [
 # store layer: apply_mutations
 # ----------------------------------------------------------------------
 class TestApplyMutations:
-    @pytest.mark.parametrize("backend", ["memory", "sharded-2", "sharded-8", "disk"])
+    @pytest.mark.parametrize("backend", ["memory", "disk"])
     def test_batched_equals_sequential(self, backend, tmp_path):
         batched = store_factories(tmp_path / "b")[backend]()
         sequential = InMemoryStore()
@@ -101,7 +98,7 @@ class TestApplyMutations:
         assert store_state(batched) == store_state(sequential)
         batched.close()
 
-    @pytest.mark.parametrize("backend", ["memory", "sharded-8", "disk"])
+    @pytest.mark.parametrize("backend", ["memory", "disk"])
     def test_batch_ticks_the_clock_once(self, backend, tmp_path):
         store = store_factories(tmp_path / "t")[backend]()
         seed_store(store)
@@ -198,11 +195,10 @@ def index_as_dict(index):
 
 
 class TestBatchedMaintainer:
-    @pytest.mark.parametrize("backend", ["memory", "sharded-4", "disk"])
+    @pytest.mark.parametrize("backend", ["memory", "disk"])
     def test_apply_updates_matches_rebuild(self, backend, tmp_path):
         store = {
             "memory": InMemoryStore,
-            "sharded-4": lambda: ShardedStore(shards=4),
             "disk": lambda: DiskStore(os.path.join(str(tmp_path), "m.sqlite")),
         }[backend]()
         database, query, index, graph, maintainer = build_maintained(store)
@@ -313,7 +309,7 @@ class TestBatchedMaintainer:
 # ----------------------------------------------------------------------
 # serving layer: MaintenanceService
 # ----------------------------------------------------------------------
-def build_engine(store="memory", shards=None, store_path=None):
+def build_engine(store="memory", store_path=None):
     database = build_fooddb()
     application = WebApplication(
         name="Search", uri=URI, query=fooddb_search_query(database), query_string_spec=SPEC
@@ -323,7 +319,6 @@ def build_engine(store="memory", shards=None, store_path=None):
         database,
         analyze_source=False,
         store=store,
-        shards=shards,
         store_path=store_path,
     )
     return database, engine
@@ -450,7 +445,7 @@ class TestMaintenanceService:
 
 
 # ----------------------------------------------------------------------
-# read-while-write consistency (memory / sharded / disk)
+# read-while-write consistency (memory / disk)
 # ----------------------------------------------------------------------
 PROBES = ("burger", "thai", "coffee")
 
@@ -482,7 +477,7 @@ def oracle_states(updates, k=5, size_threshold=20):
 
 
 class TestReadWhileWriteConsistency:
-    @pytest.mark.parametrize("backend", ["memory", "sharded-4", "disk"])
+    @pytest.mark.parametrize("backend", ["memory", "disk"])
     def test_concurrent_searches_observe_only_batch_boundaries(self, backend, tmp_path):
         seed_database = build_fooddb()
         updates = list(zipf_mutation_stream(seed_database, "comment", 18, seed=11))
@@ -492,8 +487,6 @@ class TestReadWhileWriteConsistency:
             _database, engine = build_engine(
                 store="disk", store_path=os.path.join(str(tmp_path), "rw.sqlite")
             )
-        elif backend == "sharded-4":
-            _database, engine = build_engine(store="sharded", shards=4)
         else:
             _database, engine = build_engine()
         service = engine.serving(

@@ -32,7 +32,7 @@ from repro.core.search import TopKSearcher
 from repro.core.urls import UrlFormulator
 from repro.datasets.fooddb import build_fooddb, fooddb_search_query
 from repro.serving import SearchService
-from repro.store import DiskStore, InMemoryStore, ShardedStore
+from repro.store import DiskStore, InMemoryStore
 from repro.webapp.request import QueryStringSpec
 
 QUERY = fooddb_search_query(build_fooddb())
@@ -112,7 +112,7 @@ class TestEarlyTerminationExactness:
         assert exhaustive.last_statistics.pruned_dequeues == 0
         assert exhaustive.last_statistics.pruned_expansions == 0
 
-        for store_factory in (InMemoryStore, lambda: ShardedStore(shards=3), _disk_store):
+        for store_factory in (InMemoryStore, _disk_store):
             _, _, bounded = _build(fragments, store_factory(), early_termination=True)
             actual = _result_tuples(bounded.search(keywords, k=k, size_threshold=size_threshold))
             assert actual == expected
@@ -171,12 +171,11 @@ class TestEarlyTerminationExactness:
         fragments = _random_fragments(seed=9, count=60)
         _, _, reference = _build(fragments, InMemoryStore())
         reference.search(["kw03", "kw07"], k=4, size_threshold=20)
-        for store_factory in (lambda: ShardedStore(shards=4), _disk_store):
-            _, _, other = _build(fragments, store_factory())
-            other.search(["kw03", "kw07"], k=4, size_threshold=20)
-            assert other.last_statistics.dequeues == reference.last_statistics.dequeues
-            assert other.last_statistics.expansions == reference.last_statistics.expansions
-            assert other.last_statistics.seeds_scored == reference.last_statistics.seeds_scored
+        _, _, other = _build(fragments, _disk_store())
+        other.search(["kw03", "kw07"], k=4, size_threshold=20)
+        assert other.last_statistics.dequeues == reference.last_statistics.dequeues
+        assert other.last_statistics.expansions == reference.last_statistics.expansions
+        assert other.last_statistics.seeds_scored == reference.last_statistics.seeds_scored
 
 
 class TestIndependentOracle:
@@ -281,9 +280,7 @@ class TestAdmissibleBounds:
         for identifier in bounds:
             assert bounds[identifier] >= scorer.score((identifier,))
 class TestBatchedReads:
-    @pytest.mark.parametrize(
-        "store_factory", [InMemoryStore, lambda: ShardedStore(shards=3), _disk_store]
-    )
+    @pytest.mark.parametrize("store_factory", [InMemoryStore, _disk_store])
     def test_postings_for_many_matches_postings(self, store_factory):
         fragments = _random_fragments(seed=5, count=40)
         index, _, _ = _build(fragments, store_factory())
@@ -294,9 +291,7 @@ class TestBatchedReads:
         for keyword in batched:
             assert batched[keyword] == store.postings(keyword)
 
-    @pytest.mark.parametrize(
-        "store_factory", [InMemoryStore, lambda: ShardedStore(shards=3), _disk_store]
-    )
+    @pytest.mark.parametrize("store_factory", [InMemoryStore, _disk_store])
     def test_postings_for_many_sees_mutations(self, store_factory):
         fragments = _random_fragments(seed=6, count=30)
         index, _, _ = _build(fragments, store_factory())
@@ -310,9 +305,7 @@ class TestBatchedReads:
         assert after == store.postings(keyword)
         assert after[0].term_frequency == 999
 
-    @pytest.mark.parametrize(
-        "store_factory", [InMemoryStore, lambda: ShardedStore(shards=3), _disk_store]
-    )
+    @pytest.mark.parametrize("store_factory", [InMemoryStore, _disk_store])
     def test_fragment_sizes_for_matches_fragment_size(self, store_factory):
         fragments = _random_fragments(seed=7, count=40)
         index, _, _ = _build(fragments, store_factory())
@@ -461,69 +454,6 @@ class TestDiskReadPool:
 
 
 # ----------------------------------------------------------------------
-# ShardedStore read-pool lifecycle
-# ----------------------------------------------------------------------
-class TestShardedStoreLifecycle:
-    def test_close_shuts_the_executor_down_and_reads_stay_correct(self):
-        fragments = _random_fragments(seed=14, count=40)
-        index, _, searcher = _build(fragments, ShardedStore(shards=4, parallel_threshold=1))
-        store = index.store
-        # force a fan-out before and after close
-        before = store.fragment_sizes()
-        assert store._executor is not None
-        results_before = _result_tuples(searcher.search(["kw02", "kw04"], k=3, size_threshold=10))
-        store.close()
-        assert store._executor is None
-        assert store.fragment_sizes() == before
-        results_after = _result_tuples(searcher.search(["kw02", "kw04"], k=3, size_threshold=10))
-        assert results_after == results_before
-        store.close()  # idempotent
-
-    def test_single_shard_store_never_builds_a_pool(self):
-        store = ShardedStore(shards=1)
-        assert store._executor is None
-        store.close()
-
-    def test_fan_out_racing_close_falls_back_to_serial(self):
-        """A fan-out that captured the pool just before close() must not
-        crash — it degrades to the serial path close() promises."""
-        fragments = _random_fragments(seed=16, count=40)
-        index, _, _ = _build(fragments, ShardedStore(shards=4, parallel_threshold=1))
-        store = index.store
-        expected = store.fragment_sizes()
-        real = store._executor
-
-        class RacingExecutor:
-            """Completes close() between the pool capture and submission."""
-
-            def map(self, fn, tasks):
-                store.close()
-                return real.map(fn, tasks)  # raises: the pool is shut down
-
-            def shutdown(self, wait=True):
-                real.shutdown(wait=wait)
-
-        store._executor = RacingExecutor()
-        assert store.fragment_sizes() == expected  # serial fallback, no crash
-        assert store._executor is None  # close() really ran mid-flight
-        store.close()  # idempotent
-
-    def test_task_runtime_errors_propagate_through_the_pool(self):
-        """Only the close() race retries serially — a task's own
-        RuntimeError must surface, not silently re-execute the batch."""
-        fragments = _random_fragments(seed=17, count=40)
-        index, _, _ = _build(fragments, ShardedStore(shards=4, parallel_threshold=1))
-        store = index.store
-
-        def boom():
-            raise RuntimeError("task failure")
-
-        with pytest.raises(RuntimeError, match="task failure"):
-            store.run_parallel([boom, boom, boom, boom])
-        store.close()
-
-
-# ----------------------------------------------------------------------
 # block layout: directories are a pure function of store state
 # ----------------------------------------------------------------------
 def _assert_block_directories_match(store):
@@ -586,7 +516,7 @@ class TestBlockLayout:
                 )
 
         per_backend = []
-        for store_factory in (InMemoryStore, lambda: ShardedStore(shards=3), _disk_store):
+        for store_factory in (InMemoryStore, _disk_store):
             store = store_factory()
             index = InvertedFragmentIndex(store=store)
             for identifier, term_frequencies in fragments.items():
@@ -598,11 +528,11 @@ class TestBlockLayout:
             per_backend.append(_assert_block_directories_match(store))
             store.close()
         # the same logical state yields bit-identical directories everywhere
-        assert per_backend[0] == per_backend[1] == per_backend[2]
+        assert per_backend[0] == per_backend[1]
 
     def test_incremental_writes_refresh_directories(self):
         """add_posting / remove_fragment invalidate cached directories."""
-        for store_factory in (InMemoryStore, lambda: ShardedStore(shards=2), _disk_store):
+        for store_factory in (InMemoryStore, _disk_store):
             store = store_factory()
             store.add_posting("alpha", ("A", 1), 3)
             store.add_posting("alpha", ("B", 2), 2)
@@ -714,163 +644,17 @@ class TestBlockCodec:
 
 
 # ----------------------------------------------------------------------
-# schema v1 -> v2 migration
+# schema version check
 # ----------------------------------------------------------------------
-_V1_DDL = """
-CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
-CREATE TABLE fragments (id TEXT PRIMARY KEY, size INTEGER NOT NULL);
-CREATE TABLE postings (
-    seq         INTEGER PRIMARY KEY AUTOINCREMENT,
-    keyword     TEXT NOT NULL,
-    fragment    TEXT NOT NULL,
-    tie         TEXT NOT NULL,
-    occurrences INTEGER NOT NULL
-);
-CREATE INDEX postings_by_keyword ON postings (keyword, occurrences DESC, tie);
-CREATE INDEX postings_by_fragment ON postings (fragment);
-CREATE TABLE nodes (id TEXT PRIMARY KEY, keyword_count INTEGER NOT NULL);
-CREATE TABLE edges (src TEXT NOT NULL, dst TEXT NOT NULL, PRIMARY KEY (src, dst)) WITHOUT ROWID;
-CREATE TABLE keyword_epochs (keyword TEXT PRIMARY KEY, epoch INTEGER NOT NULL);
-CREATE TABLE fragment_epochs (fragment TEXT PRIMARY KEY, epoch INTEGER NOT NULL);
-"""
-
-
-def _build_v1_file(fragments) -> str:
-    """A schema-v1 store file exactly as a PR 5 writer would have left it."""
-    from repro.store.disk import encode_identifier
-    from repro.store.memory import posting_sort_key
-
-    reference = InMemoryStore()
-    index = InvertedFragmentIndex(store=reference)
-    for identifier, term_frequencies in fragments.items():
-        index.add_fragment(identifier, term_frequencies)
-    index.finalize()
-
-    path = os.path.join(tempfile.mkdtemp(prefix="repro-v1-migration-"), "store.sqlite")
-    connection = sqlite3.connect(path)
-    connection.executescript(_V1_DDL)
-    connection.executemany(
-        "INSERT INTO fragments (id, size) VALUES (?, ?)",
-        [
-            (encode_identifier(identifier), size)
-            for identifier, size in reference.fragment_sizes().items()
-        ],
-    )
-    for keyword, postings in reference.iter_items():
-        connection.executemany(
-            "INSERT INTO postings (keyword, fragment, tie, occurrences) VALUES (?, ?, ?, ?)",
-            [
-                (
-                    keyword,
-                    encode_identifier(posting.document_id),
-                    posting_sort_key(posting)[1],
-                    posting.term_frequency,
-                )
-                for posting in postings
-            ],
-        )
-    connection.execute("INSERT INTO meta (key, value) VALUES ('epoch', '0')")
-    connection.execute("INSERT INTO meta (key, value) VALUES ('sweep_bound', '0')")
-    connection.execute("PRAGMA user_version = 1")
-    connection.commit()
-    connection.close()
-    return path
-
-
-class TestDiskSchemaMigration:
-    def test_v1_file_migrates_and_serves_identical_results(self):
-        fragments = _random_fragments(seed=21, count=60)
-        path = _build_v1_file(fragments)
-        _, _, expected_searcher = _build(fragments, InMemoryStore())
-        queries = [(["kw00"], 3, 10), (["kw03", "kw07"], 4, 20), (["kw12", "unknown"], 2, 15)]
-        expected = [
-            _result_tuples(expected_searcher.search(kws, k=k, size_threshold=s))
-            for kws, k, s in queries
-        ]
-
-        migrated = DiskStore(path, create=False)
-        try:
-            assert migrated._connection.execute("PRAGMA user_version").fetchone()[0] == 2
-            tables = {
-                name
-                for (name,) in migrated._connection.execute(
-                    "SELECT name FROM sqlite_master WHERE type = 'table'"
-                )
-            }
-            assert "postings" not in tables
-            assert "posting_blocks" in tables
-            block_rows = migrated._connection.execute(
-                "SELECT COUNT(*) FROM posting_blocks"
-            ).fetchone()[0]
-            assert block_rows > 0
-            _assert_block_directories_match(migrated)
-            # attach to the already-populated store: no re-indexing
-            index = InvertedFragmentIndex(store=migrated)
-            graph = FragmentGraph.build(QUERY, migrated.fragment_sizes(), store=migrated)
-            searcher = TopKSearcher(index, graph, UrlFormulator(QUERY, SPEC, URI))
-            actual = [
-                _result_tuples(searcher.search(kws, k=k, size_threshold=s))
-                for kws, k, s in queries
-            ]
-            assert actual == expected
-            assert migrated.refresh_epochs() in (True, False)
-        finally:
-            migrated.close()
-
-        # durable: a second open finds v2 and does not re-migrate
-        reopened = DiskStore(path, create=False)
-        try:
-            assert reopened._connection.execute("PRAGMA user_version").fetchone()[0] == 2
-            assert reopened.postings("kw00")
-        finally:
-            reopened.close()
-
-    def test_read_only_open_of_v1_file_raises(self):
+class TestDiskSchemaVersion:
+    def test_v1_file_is_refused_by_writer_and_reader(self, tmp_path):
         from repro.store import StoreError
 
-        path = _build_v1_file(_random_fragments(seed=22, count=10))
-        with pytest.raises(StoreError, match="migrate"):
-            DiskStore(path, create=False, read_only=True)
-
-    def test_migrated_file_supports_writer_and_reader_roles(self):
-        fragments = _random_fragments(seed=23, count=20)
-        path = _build_v1_file(fragments)
-        writer = DiskStore(path, create=False, exclusive_writer=True)
-        try:
-            writer.add_posting("kw99", ("Fresh", 1), 4)
-            writer.finalize()
-            assert ("Fresh", 1) in {p.document_id for p in writer.postings("kw99")}
-            _assert_block_directories_match(writer)
-            reader = DiskStore(path, create=False, read_only=True)
-            try:
-                assert reader.postings("kw99")
-                assert reader.refresh_epochs() in (True, False)
-            finally:
-                reader.close()
-        finally:
-            writer.close()
-
-    def test_interrupted_migration_redoes_cleanly(self):
-        """A crash mid-migration leaves user_version at 1; reopening redoes
-        the (idempotent) migration from scratch."""
-        fragments = _random_fragments(seed=24, count=15)
-        path = _build_v1_file(fragments)
-        store = DiskStore(path, create=False)
-        store.close()
-        # simulate the crash: blocks built but the version bump lost
+        path = str(tmp_path / "v1.sqlite")
         connection = sqlite3.connect(path)
-        connection.executescript(_V1_DDL.replace("CREATE TABLE", "CREATE TABLE IF NOT EXISTS")
-                                 .replace("CREATE INDEX", "CREATE INDEX IF NOT EXISTS"))
-        connection.execute("DELETE FROM postings")
-        for keyword, postings in InMemoryStore().iter_items():
-            pass  # no-op: postings table intentionally left empty
         connection.execute("PRAGMA user_version = 1")
         connection.commit()
         connection.close()
-        redone = DiskStore(path, create=False)
-        try:
-            assert redone._connection.execute("PRAGMA user_version").fetchone()[0] == 2
-            # the redo rebuilt blocks from the (now empty) v1 table
-            assert redone.vocabulary() == ()
-        finally:
-            redone.close()
+        for read_only in (False, True):
+            with pytest.raises(StoreError, match="schema version 1"):
+                DiskStore(path, create=False, read_only=read_only)

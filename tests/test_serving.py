@@ -2,7 +2,7 @@
 
 The staleness suite is the serving contract in miniature: after an
 IncrementalMaintainer applies inserts/deletes, a previously-cached query must
-return the fresh result set on every backend (1/2/8 shards), while cached
+return the fresh result set on every backend (memory and disk), while cached
 queries the update did not touch keep hitting.
 """
 
@@ -25,13 +25,13 @@ from repro.serving import (
     ServiceConfigurationError,
 )
 from repro.serving.cache import CachedResult
-from repro.store import InMemoryStore, ShardedStore
+from repro.store import InMemoryStore
 from repro.webapp.application import WebApplication
 from repro.webapp.request import QueryStringSpec
 from repro.webapp.server import WebServer
 
-#: Store specs the parity/staleness suites sweep: 1, 2 and 8 partitions.
-STORE_SPECS = ("memory", 2, 8)
+#: Store specs the parity/staleness suites sweep.
+STORE_SPECS = ("memory", "disk")
 
 
 def build_bundle(store_spec="memory"):
@@ -223,7 +223,7 @@ class TestParity:
 
 @pytest.mark.parametrize("store_spec", STORE_SPECS)
 class TestStaleness:
-    """Epoch-based invalidation across every backend (1/2/8 shards)."""
+    """Epoch-based invalidation across every backend."""
 
     def test_insert_refreshes_affected_query_and_keeps_untouched_hits(self, store_spec):
         database, engine = build_bundle(store_spec)
@@ -410,7 +410,7 @@ class TestGateway:
 
 
 class TestStoreEpochs:
-    @pytest.mark.parametrize("store", [InMemoryStore(), ShardedStore(shards=4)])
+    @pytest.mark.parametrize("store", [InMemoryStore()])
     def test_mutations_bump_the_clock(self, store):
         assert store.epoch == 0
         store.add_posting("w", ("a",), 2)
@@ -424,13 +424,13 @@ class TestStoreEpochs:
         assert store.keyword_epoch("w") == first  # graph ops do not touch keywords
 
     def test_replace_fragment_bumps_old_and_new_keywords(self):
-        for store in (InMemoryStore(), ShardedStore(shards=4)):
-            store.add_posting("old", ("a",), 1)
-            stamp = store.epoch
-            store.replace_fragment(("a",), {"new": 2})
-            assert store.keyword_epoch("old") > stamp
-            assert store.keyword_epoch("new") > stamp
-            assert store.fragment_epoch(("a",)) > stamp
+        store = InMemoryStore()
+        store.add_posting("old", ("a",), 1)
+        stamp = store.epoch
+        store.replace_fragment(("a",), {"new": 2})
+        assert store.keyword_epoch("old") > stamp
+        assert store.keyword_epoch("new") > stamp
+        assert store.fragment_epoch(("a",)) > stamp
 
     def test_removed_fragment_keeps_its_final_epoch(self):
         store = InMemoryStore()
@@ -438,7 +438,7 @@ class TestStoreEpochs:
         store.remove_fragment(("a",))
         assert store.fragment_epoch(("a",)) == store.epoch
 
-    @pytest.mark.parametrize("make_store", [InMemoryStore, lambda: ShardedStore(shards=4)])
+    @pytest.mark.parametrize("make_store", [InMemoryStore])
     def test_concurrent_reads_never_see_torn_posting_lists(self, make_store):
         """finalize's sort must never expose a mid-sort (emptied) list.
 

@@ -1,10 +1,8 @@
 """The pluggable fragment-store layer: backend parity and store semantics.
 
-The load-bearing guarantee is that the storage backend is *invisible*: a
-:class:`ShardedStore` with any shard count — and the persistent
-:class:`DiskStore` — must return exactly the search results, scores and
-incremental-maintenance outcomes of the single-partition
-:class:`InMemoryStore`.  The parity suite checks that on the fooddb running
+The load-bearing guarantee is that the storage backend is *invisible*: the
+persistent :class:`DiskStore` must return exactly the search results, scores
+and incremental-maintenance outcomes of the :class:`InMemoryStore`.  The parity suite checks that on the fooddb running
 example, on randomized fooddb-shaped databases (hypothesis) and on a tiny
 TPC-H workload; snapshot round-trips must preserve the whole store state
 (both sections plus the epoch clock) across every backend pairing.
@@ -35,13 +33,10 @@ from repro.store import (
     DiskStore,
     FragmentStore,
     InMemoryStore,
-    ShardedStore,
     StoreError,
     resolve_store,
 )
 from repro.webapp.request import QueryStringSpec
-
-SHARD_COUNTS = (1, 2, 8)
 
 
 def _tmp_disk_store() -> DiskStore:
@@ -126,50 +121,29 @@ class TestResolveStore:
         assert isinstance(resolve_store(None), InMemoryStore)
         assert isinstance(resolve_store("memory"), InMemoryStore)
 
-    def test_sharded_variants(self):
-        assert resolve_store("sharded").shard_count == 4
-        assert resolve_store("sharded", shards=8).shard_count == 8
-        assert resolve_store(3).shard_count == 3
-        assert resolve_store(None, shards=2).shard_count == 2
-
-    def test_memory_with_shards_is_a_conflict(self):
-        with pytest.raises(StoreError):
-            resolve_store("memory", shards=2)
-
-    def test_inconsistent_shard_specs_rejected(self):
-        with pytest.raises(StoreError):
-            resolve_store(2, shards=8)
-        with pytest.raises(StoreError):
-            resolve_store("sharded", shards=0)
-        with pytest.raises(StoreError):
-            resolve_store(None, shards=0)
-        assert resolve_store(2, shards=2).shard_count == 2
-
     def test_engine_rejects_populated_store(self, fooddb, search_application):
         from repro.core.engine import DashEngine, DashEngineError
 
-        store = ShardedStore(shards=2)
+        store = InMemoryStore()
         DashEngine.build(search_application, fooddb, store=store)
         with pytest.raises(DashEngineError):
             DashEngine.build(search_application, fooddb, store=store)
 
     def test_instances_and_factories_pass_through(self):
-        store = ShardedStore(shards=2)
+        store = InMemoryStore()
         assert resolve_store(store) is store
-        assert resolve_store(store, shards=2) is store
         assert isinstance(resolve_store(InMemoryStore), InMemoryStore)
-        with pytest.raises(StoreError):
-            resolve_store(store, shards=8)
-        with pytest.raises(StoreError):
-            resolve_store(InMemoryStore, shards=8)
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(StoreError):
             resolve_store("bogus")
         with pytest.raises(StoreError):
             resolve_store(lambda: "not a store")
+        # a store is one partition: sharding specs are unknown specs
         with pytest.raises(StoreError):
-            ShardedStore(shards=0)
+            resolve_store("sharded")
+        with pytest.raises(StoreError):
+            resolve_store(3)
 
     def test_disk_spec(self, tmp_path):
         path = str(tmp_path / "store.sqlite")
@@ -185,8 +159,6 @@ class TestResolveStore:
 
     def test_disk_spec_conflicts(self, tmp_path):
         with pytest.raises(StoreError):
-            resolve_store("disk", shards=2)
-        with pytest.raises(StoreError):
             resolve_store("memory", path=str(tmp_path / "x.sqlite"))
         with pytest.raises(StoreError):
             resolve_store(None, path=str(tmp_path / "x.sqlite"))
@@ -196,8 +168,8 @@ class TestResolveStore:
 
 @pytest.mark.parametrize(
     "make_store",
-    [InMemoryStore, lambda: ShardedStore(shards=4), _tmp_disk_store],
-    ids=["memory", "sharded", "disk"],
+    [InMemoryStore, _tmp_disk_store],
+    ids=["memory", "disk"],
 )
 class TestStoreSemantics:
     def test_remove_fragment_touches_only_affected_lists(self, make_store):
@@ -254,36 +226,6 @@ def test_index_replace_matches_add_for_case_colliding_keys():
     assert replaced.fragment_size(("a", 1)) == 5
 
 
-class TestShardedStore:
-    def test_routing_is_stable_and_total(self):
-        store = ShardedStore(shards=8)
-        identifiers = [("cuisine%d" % i, i) for i in range(200)]
-        for identifier in identifiers:
-            store.add_posting("kw", identifier, 1)
-            assert store.shard_of(identifier) == store.shard_of(identifier)
-        assert store.fragment_count() == 200
-        assert sum(store.shard(i).fragment_count() for i in range(8)) == 200
-        # more than one shard actually gets data
-        assert sum(1 for i in range(8) if store.shard(i).fragment_count()) > 1
-
-    def test_merged_postings_sorted_like_memory(self):
-        memory, sharded = InMemoryStore(), ShardedStore(shards=8)
-        for store in (memory, sharded):
-            for i in range(50):
-                store.add_posting("kw", ("c%d" % (i % 7), i), (i * 13) % 11 + 1)
-        assert [tuple(p) for p in sharded.postings("kw")] == [tuple(p) for p in memory.postings("kw")]
-        assert sharded.document_frequencies() == memory.document_frequencies()
-        assert sharded.fragment_sizes() == memory.fragment_sizes()
-        assert dict(sharded.iter_items()) == dict(memory.iter_items())
-
-    def test_parallel_fan_out_merges_in_task_order(self):
-        store = ShardedStore(shards=4, parallel_threshold=1)
-        for i in range(8):
-            store.add_posting("kw", ("c", i), 1)
-        assert store._fan_out()
-        assert store.run_parallel([lambda i=i: i for i in range(16)]) == list(range(16))
-
-
 class TestSearchResultContains:
     def test_scalar_lookup_returns_false(self, fooddb, search_query, search_spec):
         fragments = derive_fragments(search_query, fooddb)
@@ -295,81 +237,6 @@ class TestSearchResultContains:
         assert None not in result
         assert ("American", 10) in result
         assert ["American", 10] in result  # iterable identifiers still coerce
-
-
-# ----------------------------------------------------------------------
-# backend parity: fooddb running example
-# ----------------------------------------------------------------------
-class TestFooddbParity:
-    @pytest.fixture(scope="class")
-    def workload(self):
-        database = build_fooddb()
-        query = fooddb_search_query(database)
-        return database, query, derive_fragments(query, database)
-
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_search_parity(self, workload, shards):
-        _database, query, fragments = workload
-        _, _, reference = _build_searcher(query, fragments, InMemoryStore())
-        _, _, sharded = _build_searcher(query, fragments, ShardedStore(shards=shards))
-        for keywords in (["burger"], ["coffee", "fries"], ["spicy"], ["nonexistent"]):
-            for k in (1, 3, 10):
-                for s in (1, 20, 1000):
-                    expected = _result_tuples(reference.search(keywords, k=k, size_threshold=s))
-                    actual = _result_tuples(sharded.search(keywords, k=k, size_threshold=s))
-                    assert actual == expected
-        assert sharded.last_statistics.dequeues == reference.last_statistics.dequeues
-        assert sharded.last_statistics.expansions == reference.last_statistics.expansions
-
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_index_parity(self, workload, shards):
-        _database, _query, fragments = workload
-        reference = InvertedFragmentIndex.from_fragments(fragments, store=InMemoryStore())
-        sharded = InvertedFragmentIndex.from_fragments(fragments, store=ShardedStore(shards=shards))
-        assert _index_as_dict(sharded) == _index_as_dict(reference)
-        assert sharded.fragment_sizes == reference.fragment_sizes
-        assert sharded.document_frequencies() == reference.document_frequencies()
-        assert set(sharded.fragment_ids()) == set(reference.fragment_ids())
-        assert sharded.approximate_bytes() == reference.approximate_bytes()
-
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_incremental_maintenance_parity(self, shards):
-        bundles = []
-        for store in (InMemoryStore(), ShardedStore(shards=shards)):
-            database = build_fooddb()
-            query = fooddb_search_query(database)
-            fragments = derive_fragments(query, database)
-            index, graph, _searcher = _build_searcher(query, fragments, store)
-            bundles.append((database, query, index, graph, IncrementalMaintainer(query, database, index, graph)))
-
-        updates = [
-            ("insert", "comment", ("207", "001", "120", "great milkshake", "07/12")),
-            ("insert", "restaurant", ("008", "Pasta Palace", "Italian", 14, 4.6)),
-            ("insert", "restaurant", ("009", "Grill House", "American", 11, 3.5)),
-            ("delete", "comment", lambda record: record["cid"] == "203"),
-            ("delete", "restaurant", lambda record: record["rid"] == "007"),
-        ]
-        affected = []
-        for _database, _query, _index, _graph, maintainer in bundles:
-            touched = []
-            for action, relation, payload in updates:
-                if action == "insert":
-                    touched.append(maintainer.insert(relation, payload))
-                else:
-                    touched.append(maintainer.delete(relation, payload))
-            affected.append(touched)
-        assert affected[0] == affected[1]
-
-        (_, query0, index0, graph0, _), (_, _query1, index1, graph1, _) = bundles
-        assert _index_as_dict(index1) == _index_as_dict(index0)
-        assert index1.fragment_sizes == index0.fragment_sizes
-        assert graph1.edge_count == graph0.edge_count
-        assert set(graph1.fragment_ids()) == set(graph0.fragment_ids())
-        for identifier in graph0.fragment_ids():
-            assert graph1.neighbors(identifier) == graph0.neighbors(identifier)
-        # both stay consistent with a from-scratch rebuild
-        rebuilt = InvertedFragmentIndex.from_fragments(derive_fragments(query0, bundles[0][0]))
-        assert _index_as_dict(index0) == _index_as_dict(rebuilt)
 
 
 # ----------------------------------------------------------------------
@@ -467,15 +334,11 @@ class TestSnapshots:
         _build_searcher(query, fragments, store)
         return store
 
-    @pytest.mark.parametrize(
-        "target", [None, "sharded", "disk"], ids=["memory", "sharded", "disk"]
-    )
+    @pytest.mark.parametrize("target", [None, "disk"], ids=["memory", "disk"])
     def test_roundtrip(self, populated, tmp_path, target):
         path = str(tmp_path / "store.snapshot")
         assert populated.snapshot(path) == path
-        restored = FragmentStore.from_snapshot(
-            path, store=target, shards=2 if target == "sharded" else None
-        )
+        restored = FragmentStore.from_snapshot(path, store=target)
         assert dict(restored.iter_items()) == dict(populated.iter_items())
         assert restored.fragment_sizes() == populated.fragment_sizes()
         assert set(restored.node_ids()) == set(populated.node_ids())
@@ -533,9 +396,7 @@ class TestSnapshots:
         with pytest.raises(StoreError):
             FragmentStore.from_snapshot(path, store=populated)
 
-    @pytest.mark.parametrize(
-        "target", [None, "sharded", "disk"], ids=["memory", "sharded", "disk"]
-    )
+    @pytest.mark.parametrize("target", [None, "disk"], ids=["memory", "disk"])
     def test_block_directories_rebuild_identically(self, populated, tmp_path, target):
         """Snapshots carry postings, not blocks: FORMAT_VERSION stays 1 and
         every backend rebuilds bit-identical block directories on restore."""
@@ -545,7 +406,6 @@ class TestSnapshots:
         restored = FragmentStore.from_snapshot(
             path,
             store=target,
-            shards=2 if target == "sharded" else None,
             store_path=str(tmp_path / "restored.sqlite") if target == "disk" else None,
         )
         keywords = list(populated.vocabulary())
@@ -577,25 +437,24 @@ class TestSnapshots:
 # backend parity: randomized fooddb workloads (property-based)
 # ----------------------------------------------------------------------
 @given(food_databases(), st.lists(words, min_size=1, max_size=3, unique=True),
-       st.integers(min_value=1, max_value=4), st.integers(min_value=5, max_value=60),
-       st.sampled_from(SHARD_COUNTS))
+       st.integers(min_value=1, max_value=4), st.integers(min_value=5, max_value=60))
 @RELAXED
-def test_random_workload_search_parity(database, keywords, k, size_threshold, shards):
+def test_random_workload_search_parity(database, keywords, k, size_threshold):
     query = _prop_query(database)
     fragments = derive_fragments(query, database)
     _, _, reference = _build_searcher(query, fragments, InMemoryStore())
-    _, _, sharded = _build_searcher(query, fragments, ShardedStore(shards=shards))
+    _, _, disk = _build_searcher(query, fragments, _tmp_disk_store())
     expected = _result_tuples(reference.search(keywords, k=k, size_threshold=size_threshold))
-    actual = _result_tuples(sharded.search(keywords, k=k, size_threshold=size_threshold))
+    actual = _result_tuples(disk.search(keywords, k=k, size_threshold=size_threshold))
     assert actual == expected
 
 
-@given(food_databases(), st.sampled_from(SHARD_COUNTS))
+@given(food_databases())
 @RELAXED
-def test_random_workload_incremental_parity(database, shards):
+def test_random_workload_incremental_parity(database):
     query = _prop_query(database)
     fragments = derive_fragments(query, database)
-    stores = (InMemoryStore(), ShardedStore(shards=shards))
+    stores = (InMemoryStore(), _tmp_disk_store())
     indexes, graphs, maintainers = [], [], []
     for store in stores:
         # each maintainer needs its own mutable database copy
@@ -623,14 +482,13 @@ def test_random_workload_incremental_parity(database, shards):
 # ----------------------------------------------------------------------
 # backend parity: TPC-H workload
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_tpch_search_parity(tiny_tpch, tiny_tpch_queries, shards):
+def test_tpch_search_parity(tiny_tpch, tiny_tpch_queries):
     query = tiny_tpch_queries["Q2"]
     fragments = derive_fragments(query, tiny_tpch)
     spec = QueryStringSpec((("r", "r"), ("lo", "min"), ("hi", "max")))
     _, _, reference = _build_searcher(query, fragments, InMemoryStore(), "shop.example.com/Orders", spec)
-    index, _, sharded = _build_searcher(
-        query, fragments, ShardedStore(shards=shards), "shop.example.com/Orders", spec
+    index, _, disk = _build_searcher(
+        query, fragments, _tmp_disk_store(), "shop.example.com/Orders", spec
     )
     frequencies = index.document_frequencies()
     ranked = sorted(frequencies, key=lambda keyword: (-frequencies[keyword], keyword))
@@ -638,7 +496,7 @@ def test_tpch_search_parity(tiny_tpch, tiny_tpch_queries, shards):
     for keyword in keywords:
         for k, s in ((1, 100), (10, 200), (5, 1000)):
             expected = _result_tuples(reference.search([keyword], k=k, size_threshold=s))
-            actual = _result_tuples(sharded.search([keyword], k=k, size_threshold=s))
+            actual = _result_tuples(disk.search([keyword], k=k, size_threshold=s))
             assert actual == expected
 
 
@@ -646,26 +504,9 @@ def test_tpch_search_parity(tiny_tpch, tiny_tpch_queries, shards):
 # engine wiring
 # ----------------------------------------------------------------------
 class TestEngineStoreConfig:
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_engine_sharded_matches_memory(self, fooddb, search_application, fooddb_engine, shards):
-        engine = DashEngineFactory(fooddb, search_application, shards)
-        for keywords in (["burger"], ["coffee", "fries"]):
-            expected = _result_tuples(fooddb_engine.search(keywords, k=3, size_threshold=20))
-            actual = _result_tuples(engine.search(keywords, k=3, size_threshold=20))
-            assert actual == expected
-        stats = engine.statistics()
-        assert stats["store_backend"] == "ShardedStore"
-        assert stats["store_shards"] == shards
-        assert engine.index.store is engine.graph.store
-
     def test_engine_rejects_bad_store(self, fooddb, search_application):
         from repro.core.engine import DashEngine, DashEngineError
 
         with pytest.raises(DashEngineError):
             DashEngine.build(search_application, fooddb, store="bogus")
 
-
-def DashEngineFactory(database, application, shards):
-    from repro.core.engine import DashEngine
-
-    return DashEngine.build(application, database, store="sharded", shards=shards)

@@ -40,7 +40,6 @@ PUBLIC_API = {
         "DiskStore.refresh_epochs",
         "DiskStore.write_batch",
         "InMemoryStore",
-        "ShardedStore",
         "DiskStore",
         "EpochClock",
         "EpochClock.sweep",

@@ -9,7 +9,7 @@ neighbour lookups, ...) before and after a change.
 Usage::
 
     PYTHONPATH=src python tools/profile_search.py --backend disk --fragments 6000
-    PYTHONPATH=src python tools/profile_search.py --backend sharded-4 --top 30
+    PYTHONPATH=src python tools/profile_search.py --backend memory --top 30
     PYTHONPATH=src python tools/profile_search.py --backend memory --output profile.txt
     PYTHONPATH=src python tools/profile_search.py --backend disk --no-early-termination
     PYTHONPATH=src python tools/profile_search.py --compare memory,disk
@@ -23,9 +23,9 @@ more with the profiler *off*, divided by the priority-queue dequeues it
 performed — the unit cost of Algorithm 1's expand-and-requeue step, readable
 without a pstats table.
 
-``--backend`` accepts ``seed`` (the pre-store baseline searcher), ``memory``,
-``sharded-N`` and ``disk``.  ``--no-early-termination`` profiles the
-score-every-seed reference path instead of the block-max bounded one.
+``--backend`` accepts ``seed`` (the pre-store baseline searcher), ``memory``
+and ``disk``.  ``--no-early-termination`` profiles the score-every-seed
+reference path instead of the block-max bounded one.
 ``--compare a,b,...`` profiles every listed backend twice — bounded and
 exhaustive — in one run, so block-decode hot spots (``decode_block``,
 ``posting_blocks_for_many``) can be read side by side against the full-scan
@@ -205,7 +205,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--backend",
         default="disk",
-        help="seed | memory | sharded-N | disk (default: disk)",
+        help="seed | memory | disk (default: disk)",
     )
     parser.add_argument("--fragments", type=int, default=6000, help="corpus size (default 6000)")
     parser.add_argument("--repeats", type=int, default=5, help="query-mix passes (default 5)")
