@@ -320,7 +320,6 @@ def run_disk_worker_scaling(fragments, workload) -> Dict:
         ),
         "points": points,
         "locked_connection_at_max_workers": locked_point,
-        "pruned_dequeues": totals_after["pruned_dequeues"] - totals_before["pruned_dequeues"],
         "pruned_expansions": (
             totals_after["pruned_expansions"] - totals_before["pruned_expansions"]
         ),

@@ -163,9 +163,8 @@ def keyword_workload(index: InvertedFragmentIndex) -> Dict[str, str]:
 def query_workload(index: InvertedFragmentIndex) -> Dict[str, List[str]]:
     """The measured queries: the three single keywords plus a mixed query.
 
-    The mixed hot+warm+cold query is where the searcher's admissible seed
-    bounds have IDF skew to work with — single-keyword queries only exercise
-    the expansion-side pruning.
+    The mixed hot+warm+cold query is where the expansion pruning's score
+    bound has IDF skew to work with.
     """
     workload = keyword_workload(index)
     queries: Dict[str, List[str]] = {name: [keyword] for name, keyword in workload.items()}
@@ -183,7 +182,7 @@ def build_backend(fragments, store):
     return index, graph
 
 
-def searcher_for(name: str, fragments, early_termination: bool = True):
+def searcher_for(name: str, fragments):
     if name == "seed":
         index, graph = build_backend(fragments, InMemoryStore())
         return SeedTopKSearcher(index, graph, UrlFormulator(QUERY, SPEC, URI))
@@ -196,9 +195,7 @@ def searcher_for(name: str, fragments, early_termination: bool = True):
     else:
         raise ValueError(f"unknown backend {name!r}; expected seed, memory or disk")
     index, graph = build_backend(fragments, store)
-    return TopKSearcher(
-        index, graph, UrlFormulator(QUERY, SPEC, URI), early_termination=early_termination
-    )
+    return TopKSearcher(index, graph, UrlFormulator(QUERY, SPEC, URI))
 
 
 def _table_bytes(connection: sqlite3.Connection, name: str) -> int:
@@ -372,8 +369,7 @@ def run_comparison() -> Dict:
         for name in backends:
             searcher = searchers[name]
             per_backend_ms = []
-            pruned = {"seeds_scored": 0, "pruned_dequeues": 0, "pruned_expansions": 0,
-                      "blocks_skipped": 0, "blocks_decoded": 0, "postings_decoded": 0}
+            pruned = {"seeds_scored": 0, "pruned_expansions": 0}
             parity_ok = True
             for temperature, keywords in queries.items():
                 for size_threshold in SIZE_THRESHOLDS:
@@ -410,10 +406,6 @@ def run_comparison() -> Dict:
             }
             if name != "seed":
                 measurement.update(pruned)
-                considered = pruned["blocks_skipped"] + pruned["blocks_decoded"]
-                measurement["block_skip_rate"] = (
-                    round(pruned["blocks_skipped"] / considered, 4) if considered else 0.0
-                )
             payload["measurements"].append(measurement)
         seed_ms = next(m["avg_search_ms"] for m in payload["measurements"]
                        if m["fragments"] == count and m["backend"] == "seed")
@@ -423,9 +415,7 @@ def run_comparison() -> Dict:
             average_ms = entry["avg_search_ms"]
             speedup = seed_ms / average_ms if average_ms else float("inf")
             entry["speedup_vs_seed"] = round(speedup, 2)
-            skip_rate = entry.get("block_skip_rate")
-            rows.append((count, name, round(average_ms, 4), round(speedup, 2),
-                         "-" if skip_rate is None else f"{skip_rate:.2%}"))
+            rows.append((count, name, round(average_ms, 4), round(speedup, 2)))
         payload["index_layout"].append(
             {"fragments": count, **measure_index_layout(searchers["disk"].index.store)}
         )
@@ -435,7 +425,7 @@ def run_comparison() -> Dict:
             # release the disk sqlite connections
             searcher.index.store.close()
     print_table(
-        ["fragments", "backend", "avg search (ms)", "speedup vs seed", "block skip rate"],
+        ["fragments", "backend", "avg search (ms)", "speedup vs seed"],
         rows,
         title="Store backends: average top-k search latency (identical ranked URLs verified)",
     )
@@ -485,30 +475,15 @@ def test_store_backend_comparison(benchmark):
     # The refactored search path must beat the seed path clearly on the
     # largest synthetic fragment set (acceptance: >= 2x).
     assert max(speedups.values()) >= 2.0, speedups
-    # The read-connection pool + bounded reads must lift the disk backend
+    # The read-connection pool + batched reads must lift the disk backend
     # out of the serialized-sqlite regime (was ~1.2x before the overhaul;
     # ~2.2x typical now — the CI floor is deliberately conservative).
     assert speedups["disk"] >= 1.5, speedups
     # Every backend recorded its ranked-URL parity verdict.
     assert all(m["parity_ok"] for m in payload["measurements"])
-    # The admissible bounds must actually prune work on this workload.
-    pruned_total = sum(
-        m.get("pruned_dequeues", 0) + m.get("pruned_expansions", 0)
-        for m in payload["measurements"]
-    )
+    # The expansion bound must actually prune work on this workload.
+    pruned_total = sum(m.get("pruned_expansions", 0) for m in payload["measurements"])
     assert pruned_total > 0, payload["measurements"]
-    # Block-granular accounting must be wired through on every backend.  A
-    # whole block is skippable only when *all* of its seeds are prunable,
-    # and this workload's bounds prune fewer than BLOCK_SIZE consecutive
-    # seeds per list (see pruned_dequeues), so full-block skips legitimately
-    # sit at zero here — tests/test_read_path.py exercises an impact-skewed
-    # corpus where blocks_skipped > 0 is required.
-    for measurement in payload["measurements"]:
-        if measurement["backend"] == "seed":
-            continue
-        assert measurement["blocks_decoded"] > 0, measurement
-        assert measurement["postings_decoded"] > 0, measurement
-        assert measurement["blocks_skipped"] >= 0, measurement
     # The block BLOBs must clearly shrink the on-disk postings footprint vs
     # the v1 row-per-posting layout (5.35x @2k, 3.49x @12k) and decode back
     # to the canonical lists.  Floor 1.5x, not 2x: around 6k fragments most

@@ -21,24 +21,21 @@ and one merge:
    (``partitions_pruned`` — with a warm cache such a partition plays no
    part in the query at all, which is what lets a query survive a dead
    partition it does not consult).  Every remaining partition opens a
-   :class:`~repro.core.search.SearchStream` in parallel — building the
-   scorer, **not** materializing the first frontier.
+   :class:`~repro.core.search.SearchStream` in parallel (its seeds are
+   read, scored and queued at open).
 3. **precedence merge** — every stream lives in the merge heap under an
-   *admissible bound key*, never a peek-finalized head: initially the
-   ceiling-derived ``(-bound, (0,))`` sentinel, afterwards
-   :meth:`~repro.core.search.SearchStream.bound_key` (``min`` of the
-   materialized head and the best undecoded block's sentinel), both of
-   which sort at-or-before every real entry the partition could still
-   enqueue (the sentinel tie is the pending-block heap's, see
-   :data:`repro.core.search.QueueEntry`).  A stream only decodes blocks
-   when its bound actually reaches the top of the heap — i.e. could win
-   the next global dequeue — and then only blocks keying within the
-   runner-up's limit; streams whose bound never surfaces before the
-   ``k``-th emission never decode a block or score a seed at all.  The
-   router repeatedly advances the top stream — in *batches*
+   *admissible bound key*: initially the ceiling-derived
+   ``(-bound, (0,))`` sentinel (the ``(0,)`` tie sorts before every
+   content tie-break, see :data:`repro.core.search.QueueEntry`),
+   afterwards :meth:`~repro.core.search.SearchStream.bound_key` (the
+   stream's exact queue head), both of which sort at-or-before every real
+   entry the partition could still dequeue.  A stream advances only when
+   its key reaches the top of the heap — i.e. could win the next global
+   dequeue — and then only up to the runner-up's limit.  The router
+   repeatedly advances the top stream — in *batches*
    (:meth:`~repro.core.search.SearchStream.next_results`) bounded by the
    runner-up's key, with ``heapq`` sift operations instead of re-sorting,
-   and without the trailing head-peek once the global ``k``-th result is
+   and without refreshing the head once the global ``k``-th result is
    taken.  Queue keys are content-determined and every db-page chain lives
    inside one partition, so this greedy interleave replays the *exact
    global dequeue sequence* of a single merged store — result emission is
@@ -46,8 +43,8 @@ and one merge:
    results), which is why merging per-node top-k lists by score alone
    would not be byte-identical, and replaying the dequeue order is.
    Streams with undrained work when the merge stops are counted in
-   ``nodes_short_circuited``, their materialized-but-unranked candidates
-   in ``partials_discarded``.
+   ``nodes_short_circuited``, their scored-but-unranked candidates in
+   ``partials_discarded``.
 
 :class:`SearchCluster` owns the topology: consistent-hash partition
 assignment (:class:`~repro.cluster.HashRing`), replica placement with
@@ -132,11 +129,7 @@ _STREAM_SUM_FIELDS = (
     "seeds_scored",
     "expansions",
     "dequeues",
-    "pruned_dequeues",
     "pruned_expansions",
-    "blocks_skipped",
-    "blocks_decoded",
-    "postings_decoded",
 )
 
 
@@ -549,10 +542,8 @@ class QueryRouter:
         contenders = [partition for partition in reachable if bounds[partition] > 0.0]
         statistics.partitions_pruned = len(reachable) - len(contenders)
 
-        # Round 2 — open the bound-ordered partial streams in parallel:
-        # scorer built (one directory read), first frontier deliberately
-        # *not* materialized — the merge's sentinels decide which frontiers
-        # are ever worth paying for.  Cold queries pin round 1's copies.
+        # Round 2 — open the partial streams in parallel (scorer built,
+        # every seed scored and queued).  Cold queries pin round 1's copies.
         def open_stream(partition: int, hosted: HostedPartition) -> SearchStream:
             del partition
             return hosted.searcher.stream(
@@ -577,8 +568,8 @@ class QueryRouter:
             emitted[partition] = 0
             # The sentinel key sorts at-or-before every real entry the
             # partition could enqueue: any score it produces is at most the
-            # bound, and on equality the block-heap sentinel tie ``(0,)``
-            # precedes every content tie-break.
+            # bound, and on equality the sentinel tie ``(0,)`` precedes
+            # every content tie-break.
             heap.append(((-bounds[partition], (0,)), partition))
         heapq.heapify(heap)
         merged: List[SearchResult] = []
@@ -595,12 +586,8 @@ class QueryRouter:
                 limit = None
             stream = streams[partition]
             try:
-                # The stream's bound surfaced: something it holds could win
-                # the next global dequeue.  The advance materializes only
-                # blocks keying within the runner-up limit, so a stream
-                # whose bound never gets here never decodes a block or
-                # scores a seed — and one that does decodes just the
-                # frontier the merge actually consumes.
+                # The stream's key surfaced: something it holds could win
+                # the next global dequeue; advance it up to the runner-up.
                 batch = stream.next_results(limit, k - len(merged))
                 if batch:
                     merged.extend(batch)

@@ -25,18 +25,15 @@ already performs.  Keywords absent from the corpus are cached too
 keywords stop costing a full scatter.
 
 The ceilings feed :func:`partition_bounds`: an admissible per-partition
-upper bound on any queue entry a partition's stream could ever produce,
-computed with the same two-sided bound math as
-:meth:`~repro.core.scoring.DashScorer.block_plan` (at directory rather
-than block granularity — both bound expressions are monotone in the weight
-ceiling, so the directory-wide ceiling caps every block's bound).  A page
-assembled inside a partition scores the size-weighted *average* of its
-member fragments' single-fragment scores, so the per-fragment bound covers
-expanded pages too; ceilings can only ever be stale *high* (the store
-contract behind ``block_plan``'s exactness), so the bounds stay admissible
-— a partition whose bound is 0 provably holds no relevant fragment and is
-never contacted at all, and the router's merge only materializes a
-partition's stream once its bound reaches the global dequeue frontier.
+upper bound on any queue entry a partition's stream could ever produce
+(the derivation is in its docstring).  A page assembled inside a partition
+scores the size-weighted *average* of its member fragments'
+single-fragment scores, so the per-fragment bound covers expanded pages
+too; ceilings can only ever be stale *high* (the store contract, see
+:mod:`repro.store.blocks`), so the bounds stay admissible — a partition
+whose bound is 0 provably holds no relevant fragment and is never
+contacted at all, and the router's merge only advances a partition's
+stream once its bound reaches the global dequeue frontier.
 
 Invalidation is belt-and-braces: revalidation alone is already correct
 (every DF-changing write ticks the keyword's facade epoch), and
@@ -223,15 +220,24 @@ def partition_bounds(
 
     ``ceilings`` maps keyword -> partition -> directory-wide weight ceiling
     (see :class:`TermStatsEntry`); ``idf`` holds the *global* IDF values the
-    partitions score with.  For each partition the bound is the maximum
-    over its present keywords of the two-sided
-    :meth:`~repro.core.scoring.DashScorer.block_plan` expression evaluated
-    at the directory ceiling — both expressions are monotone non-decreasing
-    in the ceiling, so this caps every block bound, hence every member
-    fragment's exact score, hence (size-weighted-average argument) every
-    assembled page's score the partition could enqueue.  Bounds inherit the
-    stale-high-only guarantee of the summaries and carry the same safety
-    inflation, so pruning on them can never change the result set.
+    partitions score with.  A fragment of keyword ``w``'s list whose
+    weight ``occ_w/size`` is capped at the ceiling ``T`` has exact score
+    ``sum_w' (occ_w'/size) * idf_w'``, bounded by both
+
+    * ``max(M_w, T*idf_w + (1-T)*M_w)`` with ``M_w`` the largest IDF among
+      the *other* query keywords — their occurrences total at most
+      ``size - occ_w``, and ``t*idf_w + (1-t)*M_w`` is monotone in
+      ``t = occ_w/size`` on ``[0, T]``, so its maximum is at an endpoint;
+    * ``T*idf_w + sum_{w' != w} R_w' * idf_w'`` with ``R_w'`` keyword
+      ``w'``'s own ceiling — each other keyword contributes at most its
+      maximum weight.
+
+    The partition's bound is the maximum over its present keywords of the
+    smaller of the two: it caps every member fragment's exact score, hence
+    (size-weighted-average argument) every assembled page's score the
+    partition could enqueue.  Bounds inherit the stale-high-only guarantee
+    of the summaries and carry the scorer's safety inflation, so pruning on
+    them can never change the result set.
 
     A partition with no query keyword present gets bound 0.0 — it holds no
     relevant fragment, so its stream could never emit anything.

@@ -15,33 +15,21 @@ the ``k`` most relevant ones:
 
 Three implementation notes beyond the paper's pseudo-code:
 
-* **Exact block-max early termination** — seeds are *not* even read up
-  front.  Each query keyword's impact-ordered inverted list is served as
-  fixed-size *blocks* with per-block maxima
-  (:meth:`~repro.store.FragmentStore.posting_blocks_for_many`), and the
-  pending heap holds whole undecoded blocks under the admissible per-block
-  bound of :meth:`~repro.core.scoring.DashScorer.block_plan`.  A block is
-  decoded — and its fragments materialized (vectors and sizes batch-read,
-  exact scores computed and pushed onto the real priority queue) — only
-  while its bound says some member could still win the next dequeue.
-  Because every bound is at least the exact score of every member, the pop
-  order of entries that reach the queue — and therefore the result set — is
-  provably identical to scoring everything eagerly (entries the eager path
-  would dequeue only to discard as duplicates or already-consumed are
-  dropped before the queue here, so ``SearchStatistics.dequeues`` can be
-  lower in bounded mode while results stay byte-identical); blocks whose
-  bound never reaches the frontier are never decoded at all, which is where
-  on-disk and cluster backends stop paying for thousands of row decodes
-  and size reads per query.  The same argument prunes expansion candidates:
-  an irrelevant candidate can never out-prefer a relevant one (the
-  relevance tier dominates the preference order), and a relevant candidate
-  whose :meth:`~repro.core.scoring.DashScorer.score_bound` cannot beat the
-  best candidate found so far is skipped without reading its size.
-  ``SearchStatistics`` counts both the pruned and the decoded work;
-  construct the searcher with ``early_termination=False`` for the
-  score-every-seed reference, which reads whole inverted lists up front and
-  shares only the expand-and-requeue step (the property suite checks the
-  two byte-identical, and both against ``tests/oracle.py``).
+* **Seeding and exact expansion pruning** — every relevant fragment is a
+  seed, read and scored when the search opens: one batched
+  ``postings_for_many`` read, one batched size read, one ``heapify``.
+  (Skipping whole posting blocks on their per-block maxima was measured and
+  removed: Algorithm 1 only emits a page once it has grown to ``s``, so the
+  ``k``-th result's score sits below practically every un-expanded seed's
+  bound and no block is ever proven unneeded — see docs/architecture.md.)
+  Pruning fires in the expansion step instead: an irrelevant candidate can
+  never out-prefer a relevant one (the relevance tier dominates the
+  preference order), and a relevant candidate whose
+  :meth:`~repro.core.scoring.DashScorer.score_bound` cannot beat the best
+  candidate found so far is skipped without reading its size.  Both are
+  exact — the bound is admissible — and counted in
+  ``SearchStatistics.pruned_expansions``; ``tests/oracle.py``, a direct
+  transcription of the pseudo-code, pins results and dependencies.
 * **Pending-page state** — a queued db-page is more than its member tuple:
   a :class:`_PendingPage` record rides with it from its first dequeue to its
   emission, holding the page's exact integer occurrence totals and size, its
@@ -53,13 +41,13 @@ Three implementation notes beyond the paper's pseudo-code:
   totals untouched.  Scores come out bit-identical to the reference
   :meth:`~repro.core.scoring.DashScorer.score`.
 * **Resumable streams** — the dequeue loop lives in :class:`SearchStream`:
-  ``peek_entry`` exposes the exact key of the next dequeue (materializing
-  just enough blocks for that key to be final) and ``next_result`` processes
-  dequeues up to a caller-supplied key limit.  ``search_detailed`` drains
-  one stream; the cluster's :class:`~repro.cluster.QueryRouter` interleaves
-  per-partition streams by smallest next key, which replays the exact
-  dequeue sequence of a single merged store — scatter-gather results stay
-  byte-identical to a single-store run.
+  ``bound_key`` exposes the exact key of the next dequeue and
+  ``next_result`` processes dequeues up to a caller-supplied key limit.
+  ``search_detailed`` drains one stream; the cluster's
+  :class:`~repro.cluster.QueryRouter` interleaves per-partition streams by
+  smallest next key, which replays the exact dequeue sequence of a single
+  merged store — scatter-gather results stay byte-identical to a
+  single-store run.
 """
 
 from __future__ import annotations
@@ -82,16 +70,10 @@ from repro.core.urls import UrlFormulator
 #: tie-break is a tuple: seeds carry ``(0, identifier order)`` and expanded
 #: pages ``(1, member identifier orders)`` — both derived from the entry's
 #: *content*, never from insertion order, so equal-score ties resolve
-#: identically for any backend, any materialization order, and any
-#: partitioning of the corpus (the cluster router merges per-partition
-#: streams by exactly these keys) — and the pending *block* heap's sentinel
-#: tie ``(0,)`` sorts at-or-before every queue tie, keeping the
-#: materialize-before-dequeue invariant exact.
+#: identically for any backend and any partitioning of the corpus (the
+#: cluster router merges per-partition streams by exactly these keys, and
+#: its per-partition sentinel tie ``(0,)`` sorts before every queue tie).
 QueueEntry = Tuple[float, Tuple, Tuple[FragmentId, ...]]
-
-#: One pending-block heap entry: (negated bound, sentinel tie, keyword
-#: index, block number, posting count).
-BlockEntry = Tuple[float, Tuple, int, int, int]
 
 #: ``SearchStatistics`` counters accumulated into lifetime totals — by every
 #: :class:`TopKSearcher` and, with the fan-out counters live, by the cluster
@@ -100,11 +82,7 @@ LIFETIME_FIELDS = (
     "dequeues",
     "expansions",
     "seeds_scored",
-    "pruned_dequeues",
     "pruned_expansions",
-    "blocks_skipped",
-    "blocks_decoded",
-    "postings_decoded",
     "nodes_queried",
     "nodes_short_circuited",
     "partials_merged",
@@ -142,20 +120,11 @@ class SearchStatistics:
 
     ``seed_fragments`` is the total number of posting entries across the
     query keywords' inverted lists (``sum_w df_w`` — a fragment relevant to
-    two keywords counts twice); ``seeds_scored`` is how many distinct seeds
-    were materialized (vector and size read, exact score computed);
-    ``pruned_dequeues`` counts posting entries that never produced a scored
-    queue entry — members of never-decoded blocks, decoded duplicates of an
-    already-materialized fragment, and decoded entries of already-consumed
-    fragments — so ``seeds_scored + pruned_dequeues == seed_fragments``
-    holds on every bounded search.  ``blocks_skipped``/``blocks_decoded``
-    split the block directory into never-decoded and decoded blocks, and
-    ``postings_decoded`` totals the entries the decoded blocks yielded.
-    ``pruned_expansions`` counts expansion-candidate evaluations skipped by
-    the relevance tier or by
-    :meth:`~repro.core.scoring.DashScorer.score_bound`.  The pruned and
-    block counters stay 0 on an ``early_termination=False`` searcher (the
-    reference mode reads whole lists, not blocks, and reports no pruning).
+    two keywords counts twice); ``seeds_scored`` is the number of distinct
+    relevant fragments, every one of which is read, scored and queued when
+    the search opens.  ``pruned_expansions`` counts expansion-candidate
+    evaluations skipped by the relevance tier or by
+    :meth:`~repro.core.scoring.DashScorer.score_bound`.
 
     The fan-out counters are filled in by the cluster's scatter-gather
     router (:class:`~repro.cluster.QueryRouter`) and stay 0 on a
@@ -192,11 +161,7 @@ class SearchStatistics:
     seeds_scored: int = 0
     expansions: int = 0
     dequeues: int = 0
-    pruned_dequeues: int = 0
     pruned_expansions: int = 0
-    blocks_skipped: int = 0
-    blocks_decoded: int = 0
-    postings_decoded: int = 0
     results: int = 0
     nodes_queried: int = 0
     nodes_short_circuited: int = 0
@@ -328,9 +293,7 @@ class SearchSession:
                     self._scorers.move_to_end(keywords)
                     self.scorer_reuses += 1
                     return scorer
-        scorer = DashScorer(
-            self._searcher.index, keywords, lazy=self._searcher.early_termination
-        )
+        scorer = DashScorer(self._searcher.index, keywords)
         with self._lock:
             self.scorer_builds += 1
             if epoch == self._epoch:
@@ -354,19 +317,8 @@ class SearchSession:
 class TopKSearcher:
     """Executes Algorithm 1 over a fragment index and a fragment graph.
 
-    ``early_termination`` (default on) enables the exact score-bounded
-    pruning described in the module docstring; turning it off restores the
-    eager score-every-seed reference path.  Results are byte-identical
-    either way — the flag exists for reference answers (the benchmark's,
-    the property suite's) and for profiling the pruning itself.
+    ``early_termination`` accepts only ``False`` — the one seeding path left.
     """
-
-    #: Cap on the seeds materialized blind while the scored queue is empty
-    #: (the very first batch of a search): big enough to amortize one
-    #: batched size read, small enough not to undo the pruning.  The
-    #: effective blind batch is ``min(SEED_BATCH, max(2 * k, 8))`` — a
-    #: small-``k`` search should not score dozens of seeds it may never pop.
-    SEED_BATCH = 64
 
     #: Neighbour lists the shared identifier cache may hold before a search
     #: start resets it (order keys are reset with them).
@@ -377,12 +329,13 @@ class TopKSearcher:
         index: InvertedFragmentIndex,
         graph: FragmentGraph,
         url_formulator: UrlFormulator,
-        early_termination: bool = True,
+        early_termination: bool = False,
     ) -> None:
+        if early_termination is not False:
+            raise ValueError("block-bounded seeding was removed; every seed is scored at open")
         self.index = index
         self.graph = graph
         self.url_formulator = url_formulator
-        self.early_termination = early_termination
         self.last_statistics = SearchStatistics()
         # Pruning pays off across requests, so the serving layer wants the
         # running totals, not just the last search's snapshot.
@@ -495,12 +448,7 @@ class TopKSearcher:
             scorer = session.scorer_for(canonical, epoch)
         else:
             epoch = self.index.store.epoch
-            scorer = DashScorer(
-                self.index,
-                canonical,
-                lazy=self.early_termination,
-                idf_overrides=idf_overrides,
-            )
+            scorer = DashScorer(self.index, canonical, idf_overrides=idf_overrides)
         return SearchStream(
             self, canonical, k, size_threshold, scorer, epoch, self._shared_identifiers()
         )
@@ -517,9 +465,8 @@ class TopKSearcher:
     ) -> List[QueueEntry]:
         """Build the initial priority queue of single-fragment pending pages.
 
-        Heap pops are ordered purely by the ``(-score, (0, identifier
-        order))`` keys — identical to the keys bounded-mode materialization
-        pushes.
+        Heap pops are ordered purely by the content-derived ``(-score, (0,
+        identifier order))`` keys.
         """
         scorer.prime_sizes(seeds)  # one batched read, not one per seed
         seed_scores = scorer.seed_scores()
@@ -568,11 +515,10 @@ class _PendingPage:
 class SearchStream:
     """One search, advanced dequeue-by-dequeue in exact key order.
 
-    The unit of progress is one priority-queue *dequeue*: :meth:`peek_entry`
-    exposes the entry the next dequeue would pop — materializing exactly the
-    pending blocks whose admissible bound could still win it, so the key is
-    final — and :meth:`next_result` processes dequeues while that entry is
-    within a caller-supplied limit, returning as soon as one emits a result.
+    The unit of progress is one priority-queue *dequeue*: :meth:`bound_key`
+    exposes the entry the next dequeue would pop, and :meth:`next_result`
+    processes dequeues while that entry is within a caller-supplied limit,
+    returning as soon as one emits a result.
     Queue keys are content-determined (exact score plus the deterministic
     tie-breaks of :data:`QueueEntry`), so interleaving several streams by
     smallest next entry replays the exact dequeue sequence a single merged
@@ -584,14 +530,8 @@ class SearchStream:
     the degenerate single-stream case and stays byte-identical to the
     pre-stream implementation.
 
-    ``consulted`` collects every fragment the search reads — materialized
-    seeds, page members and every evaluated expansion candidate.  Fragments
-    living only in never-decoded blocks are deliberately *not* dependencies:
-    any mutation that could change them ticks their keywords' postings
-    epochs, which a serving cache already revalidates against.  That
-    argument is partition-local, so a router may union consulted sets from
-    streams that materialized more (or fewer) blind seeds than the
-    single-store run without weakening cache invalidation.
+    ``consulted`` collects every fragment the search reads — every seed,
+    page members and every evaluated expansion candidate.
     """
 
     def __init__(
@@ -615,10 +555,6 @@ class SearchStream:
         self.consulted: Set[FragmentId] = set()
         self.results: List[SearchResult] = []
         self._identifiers = identifiers
-        # Distinct fragments decoded so far (bounded mode): a fragment
-        # relevant to several query keywords appears in several blocks but
-        # must be scored exactly once.
-        self._seen: Set[FragmentId] = set()
         self._consumed: Set[FragmentId] = set()
         # The carried state of every *expanded* page waiting in the queue,
         # keyed by the identity of the member tuple in its queue entry (the
@@ -629,84 +565,35 @@ class SearchStream:
         self._pending: Dict[int, _PendingPage] = {}
         self._finalized = False
         self._started = time.perf_counter()
-        # Under early termination the queue starts empty and whole posting
-        # blocks wait in a bound-ordered heap; materialization decodes
-        # exactly the blocks whose admissible bound could still win the next
-        # dequeue, so the pop sequence matches the eager queue's.
-        if searcher.early_termination:
-            self._pending_blocks: List[BlockEntry] = [
-                (-bound, (0,), keyword_index, block_no, count)
-                for bound, keyword_index, block_no, count in scorer.block_plan()
-            ]
-            heapq.heapify(self._pending_blocks)
-            self._queue: List[QueueEntry] = []
-        else:
-            self._pending_blocks = []
-            seeds = scorer.relevant_fragments()
-            self.consulted.update(seeds)
-            self._queue = searcher._seed_queue(seeds, scorer, identifiers.order)
-            self.statistics.seeds_scored = len(seeds)
+        seeds = scorer.relevant_fragments()
+        self.consulted.update(seeds)
+        self._queue: List[QueueEntry] = searcher._seed_queue(seeds, scorer, identifiers.order)
+        self.statistics.seeds_scored = len(seeds)
 
     @property
     def exhausted(self) -> bool:
-        """True when no further dequeue can possibly happen.
+        """True when no further dequeue can happen.
 
         ``False`` means undrained work remains (the router counts such
-        streams as short-circuited when the merge stops first); pending
-        blocks that would decode to nothing but duplicates may leave this
-        conservatively ``False``.
+        streams as short-circuited when the merge stops first).
         """
-        return (
-            self._finalized
-            or len(self.results) >= self.k
-            or (not self._queue and not self._pending_blocks)
-        )
+        return self._finalized or len(self.results) >= self.k or not self._queue
 
     @property
     def pending_candidates(self) -> int:
-        """Materialized (exactly scored) queue entries not yet dequeued."""
+        """Exactly scored queue entries not yet dequeued."""
         return len(self._queue)
 
-    def bound_key(self) -> Optional[tuple]:
-        """Admissible lower bound on the next dequeue's key — no decoding.
+    def bound_key(self) -> Optional[QueueEntry]:
+        """The entry the next dequeue would pop, or ``None`` when done.
 
-        ``min(queue head, best pending-block sentinel)``: every entry a
-        waiting block can produce keys at-or-after the block's
-        ``(-bound, (0,))`` sentinel (the sentinel tie sorts before every
-        content tie-break at equal score), so while the stream rests no
-        future dequeue can compare before the returned key.  ``None``
-        means the stream is done.  A scatter-gather merge keeps each
-        stream in its heap under this key: a stream only decodes blocks
-        once its bound actually surfaces as the global minimum, and then
-        only up to the merge's runner-up limit
-        (:meth:`next_result`'s ``limit``).
+        Every seed is queued at open, so the head is exact: no future
+        dequeue of this stream can compare before it.  A scatter-gather
+        merge keeps each stream in its heap under this key and advances a
+        stream only while its key is the global minimum (up to the
+        runner-up ``limit`` of :meth:`next_result`).
         """
-        if self._finalized or len(self.results) >= self.k:
-            return None
-        head = self._queue[0] if self._queue else None
-        if self._pending_blocks:
-            sentinel = (self._pending_blocks[0][0], (0,))
-            if head is None or sentinel < head:
-                return sentinel
-        return head
-
-    def peek_entry(self) -> Optional[QueueEntry]:
-        """The exact entry the next dequeue would pop, or ``None`` when done.
-
-        Materializes every pending block whose bound could still win the
-        next dequeue first, so the returned entry is final — no unscored
-        block can beat it.  This is the stream's admissible *bound* surface:
-        a router comparing heads across partitions sees each node's best
-        remaining entry and can stop pulling from a node the moment its head
-        cannot beat the global k-th result.
-        """
-        if self._finalized or len(self.results) >= self.k:
-            return None
-        if self._pending_blocks:
-            self._materialize_blocks()
-        if not self._queue:
-            return None
-        return self._queue[0]
+        return None if self.exhausted else self._queue[0]
 
     def next_result(self, limit: Optional[QueueEntry] = None) -> Optional[SearchResult]:
         """Process dequeues in key order until one emits a result.
@@ -716,20 +603,13 @@ class SearchStream:
         stream is exhausted; with ``limit=None`` only exhaustion stops it.
         Entries compare by ``(negated score, tie-break, fragments)``, so
         streams over disjoint partitions never tie and the merge order is
-        total.  Materialization honours the limit too: blocks keying after
-        it are left undecoded (their members provably key after it as
-        well), so an advance bounded by a tight runner-up decodes at most
-        the blocks that could actually win a dequeue *now* — when the head
-        is popped, every still-waiting block keys after it (it either keys
-        after the limit, or the head itself), so the pop is final.
+        total.
         """
         searcher = self._searcher
         statistics = self.statistics
         while True:
             if self._finalized or len(self.results) >= self.k:
                 return None
-            if self._pending_blocks:
-                self._materialize_blocks(limit)
             if not self._queue:
                 return None
             if limit is not None and self._queue[0] > limit:
@@ -741,7 +621,7 @@ class SearchStream:
                     # This seed was absorbed into an expanded db-page already
                     # (the paper removes such entries from the queue).
                     continue
-                # Looked up when the seed was scored: no store read here.
+                # Its size was primed at open: no store read here.
                 occurrences, size = self.scorer.fragment_totals(fragments[0])
                 key = self._identifiers.order(fragments[0])
                 page = _PendingPage(occurrences, size, key, fragments[0])
@@ -756,75 +636,6 @@ class SearchStream:
             members, score = expanded
             self._pending[id(members)] = page
             heapq.heappush(self._queue, (-score, (1, page.orders), members))
-
-    def _materialize_blocks(self, limit: Optional[tuple] = None) -> None:
-        """Decode every waiting block whose bound could still win the next pop.
-
-        A waiting block must be decoded before the next dequeue whenever its
-        ``(-bound, (0,))`` key is at most the queue head's ``(-score, tie)``
-        key: every member's exact score is at most the block bound, so any
-        block *not* decoded provably loses the pop to the queue head, and
-        the dequeue sequence is exactly the eager path's (the sentinel tie
-        ``(0,)`` sorts at-or-before every queue tie, so equality still
-        decodes).  A scatter-gather merge additionally passes its runner-up
-        ``limit``: blocks keying after the limit cannot contribute to any
-        dequeue this advance is allowed to perform (their members key
-        at-or-after the block sentinel), so they stay undecoded until —
-        unless — their bound itself surfaces in the merge.  Decoded
-        fragments are materialized in batches — one batched vector read
-        plus one batched size read per batch; while the queue is still
-        empty (the first blocks of a search) up to ``SEED_BATCH``
-        best-bound fragments are materialized blind.  Duplicates of
-        already-materialized fragments and fragments already absorbed into
-        an expanded page are dropped unscored — the eager path would
-        dequeue and discard them.
-        """
-        pending_blocks, queue, scorer = self._pending_blocks, self._queue, self.scorer
-        consumed, seen, statistics = self._consumed, self._seen, self.statistics
-        order = self._identifiers.order
-        blind_batch = min(self._searcher.SEED_BATCH, max(2 * self.k, 8))
-        limit_key = None if limit is None else tuple(limit[:2])
-        while (
-            pending_blocks
-            and (limit_key is None or pending_blocks[0][:2] <= limit_key)
-            and (not queue or pending_blocks[0][:2] <= queue[0][:2])
-        ):
-            threshold = queue[0][:2] if queue else None
-            batch: List[FragmentId] = []
-            while (
-                pending_blocks
-                and (limit_key is None or pending_blocks[0][:2] <= limit_key)
-                and (
-                    pending_blocks[0][:2] <= threshold
-                    if threshold is not None
-                    else len(batch) < blind_batch
-                )
-            ):
-                _bound, _tie, keyword_index, block_no, _count = heapq.heappop(pending_blocks)
-                entries = scorer.decode_block(keyword_index, block_no)
-                statistics.blocks_decoded += 1
-                statistics.postings_decoded += len(entries)
-                for identifier in entries:
-                    if identifier in seen:
-                        statistics.pruned_dequeues += 1
-                        continue
-                    seen.add(identifier)
-                    if identifier in consumed:
-                        statistics.pruned_dequeues += 1
-                        continue
-                    batch.append(identifier)
-            if not batch:
-                continue
-            self.consulted.update(batch)
-            scorer.ensure_known(batch)
-            scorer.prime_sizes(batch)
-            scores = scorer.seed_scores_for(batch)
-            statistics.seeds_scored += len(batch)
-            for identifier in batch:
-                heapq.heappush(
-                    queue,
-                    (-scores[identifier], (0, order(identifier)), (identifier,)),
-                )
 
     def _expand(
         self, page: _PendingPage, fragments: Tuple[FragmentId, ...]
@@ -865,8 +676,6 @@ class SearchStream:
             return None
         self.consulted.update(frontier)
         scorer = self.scorer
-        # One batched vector read covers every candidate's relevance check
-        # and occurrence lookups below (no-op on an eager scorer).
         relevant = scorer.relevant_among(frontier)
         occurrences, size = page.occurrences, page.size
         best_key = None
@@ -896,8 +705,7 @@ class SearchStream:
                 key = (-scorer.score_totals(extended, grown), rank)
                 if best_key is None or key < best_key:
                     best_key, best, best_size, best_occurrences = key, candidate, grown, extended
-            if self._searcher.early_termination:  # the reference mode reports none
-                self.statistics.pruned_expansions += pruned
+            self.statistics.pruned_expansions += pruned
         self._consumed.add(best)
         del frontier[best]
         at = bisect(page.orders, best_key[1])
@@ -911,12 +719,7 @@ class SearchStream:
         """Batch form of :meth:`next_result`: up to ``max_results`` results.
 
         Emits results while the next dequeue entry stays within ``limit``,
-        stopping early once the batch is full.  Never decodes past the
-        limit: a full batch returns without touching the next frontier,
-        and a short batch stopped by ``limit`` or exhaustion leaves every
-        block keying after the limit undecoded — the merge re-inserts the
-        stream under :meth:`bound_key` (which costs nothing) rather than
-        under a peek-finalized head.
+        stopping early once the batch is full.
         """
         collected: List[SearchResult] = []
         while len(collected) < max_results:
@@ -927,19 +730,9 @@ class SearchStream:
         return collected
 
     def finalize(self) -> SearchStatistics:
-        """Close the stream and return its statistics (idempotent).
-
-        Blocks still waiting behind their bounds were proven unable to win
-        any dequeue this stream performed: every posting inside is work the
-        bound saved outright — never decoded, never scored — and lands in
-        ``blocks_skipped``/``pruned_dequeues``.
-        """
+        """Close the stream and return its statistics (idempotent)."""
         if not self._finalized:
             self._finalized = True
-            for _bound, _tie, _keyword_index, _block_no, count in self._pending_blocks:
-                self.statistics.blocks_skipped += 1
-                self.statistics.pruned_dequeues += count
-            self._pending_blocks = []
             self.statistics.results = len(self.results)
             self.statistics.elapsed_seconds = time.perf_counter() - self._started
         return self.statistics

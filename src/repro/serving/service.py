@@ -524,10 +524,9 @@ class SearchService:
                 "capacity": self._cache.capacity,
             },
             "session": self._session.statistics(),
-            # Running totals from the searcher's bounded read path —
-            # seeds_scored vs pruned_dequeues is how much seed scoring (and
-            # batched size reading) the admissible bounds saved this service's
-            # computed queries; see repro.core.search.SearchStatistics.
+            # Running totals over this service's computed queries — seeds
+            # scored, dequeues, expansions and the expansion evaluations the
+            # admissible bound saved; see repro.core.search.SearchStatistics.
             "search": self._searcher.lifetime_statistics(),
             "epoch": self._store.epoch,
             "workers": self._workers,

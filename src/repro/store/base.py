@@ -315,8 +315,8 @@ class FragmentStore(ABC):
         (an empty directory for unknown keywords; duplicate inputs
         collapse).  Every backend must derive its summaries with
         :func:`~repro.store.blocks.build_summaries` over the keyword's
-        current sorted list and the current fragment sizes, so the bound
-        floats — and therefore the searcher's skip/decode statistics — are
+        current sorted list and the current fragment sizes, so the ceiling
+        floats — and therefore the router's partition bounds — are
         backend-independent.  The base implementation gathers the full lists
         and chunks them; the shipped backends cache directories
         (epoch-revalidated) and :class:`~repro.store.DiskStore` serves its
@@ -358,10 +358,9 @@ class FragmentStore(ABC):
     ) -> Dict[FragmentId, Dict[str, int]]:
         """Keyword counts of all ``identifiers`` in one batched read.
 
-        Unknown fragments map to ``{}``; duplicate inputs collapse.  This is
-        the lazy scorer's vector-fill path: a fragment materialized from one
-        keyword's decoded block needs its other query keywords' counts
-        without decoding those keywords' lists.  The base implementation
+        Unknown fragments map to ``{}``; duplicate inputs collapse.  The
+        cluster facade reads replaced fragments' old vectors through it to
+        stamp the keywords a batch detaches.  The base implementation
         loops :meth:`fragment_term_frequencies`; the on-disk and cluster
         backends batch per query / per partition.
         """

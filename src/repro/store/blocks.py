@@ -1,23 +1,21 @@
 """Impact-ordered posting blocks (the block-max layout every backend serves).
 
-PR 4 made early termination exact with one admissible bound per *seed*; this
-module is the storage-side half of skipping at *block* granularity.  A
-keyword's descending-TF inverted list is cut into fixed-size blocks of
+A keyword's descending-TF inverted list is cut into fixed-size blocks of
 :data:`BLOCK_SIZE` postings, and each block carries a tiny
 :class:`BlockSummary` — its entry count, its maximum occurrence count and its
 maximum *weight* (``occurrences / fragment size``, the per-fragment TF the
-Dash score multiplies by the IDF).  From a query's summaries alone the scorer
-derives an admissible per-block score bound (see
-:meth:`repro.core.scoring.DashScorer.block_plan`), so the searcher can hold
-whole undecoded blocks in its pending heap and only decode a block while its
-bound could still win the next dequeue.
+Dash score multiplies by the IDF).  A keyword's directory (posting count plus
+the directory-wide weight ceiling) is what the cluster router reads for
+global document frequencies and admissible per-partition score bounds (see
+:func:`repro.cluster.stats.partition_bounds`) without decoding a posting; the
+top-k searcher itself reads whole lists.
 
 Two properties are load-bearing:
 
 * **Determinism** — blocks are a pure function of the keyword's current
   sorted posting list and the current fragment sizes.  Every backend builds
   its summaries through :func:`build_summaries` over the same entries and the
-  same integer sizes, so the floats (and therefore the skip/decode counts)
+  same integer sizes, so the floats (and therefore the partition bounds)
   are identical on the memory and disk backends.
 * **Admissibility under staleness** — a summary's ``max_weight`` may only
   ever be *stale-high* (a fragment's size can grow through ``add_posting``
@@ -39,8 +37,8 @@ from repro.core.fragments import FragmentId
 from repro.text.inverted_index import Posting
 
 #: Postings per block.  128 keeps a block's decode cost a few microseconds
-#: while giving the per-block maxima enough resolution to skip the long tail
-#: of an impact-ordered list (a 6000-posting hot list becomes ~47 summaries).
+#: while keeping directories small (a 6000-posting hot list becomes ~47
+#: summaries).
 BLOCK_SIZE = 128
 
 

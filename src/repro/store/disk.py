@@ -62,8 +62,8 @@ Schema v2 replaces the row-per-posting table with the block-max layout of
 :mod:`repro.store.blocks`: each keyword's impact-ordered list is stored as
 ``posting_blocks`` rows — one delta+varint BLOB per :data:`~repro.store.blocks.BLOCK_SIZE`
 postings, with the block's ``count`` / ``max_occurrences`` / ``max_weight``
-summary alongside as plain columns so a block-skipping search reads only
-the tiny directory until a block's bound survives.  A per-fragment varint
+summary alongside as plain columns so a document-frequency or weight-ceiling
+read touches only the tiny directory.  A per-fragment varint
 forward index (``fragment_terms``) replaces the old ``fragment`` column
 scans.  Mutations never rewrite blocks in place: they append to a
 ``staged_postings`` log (plus a ``pending_removals`` set), and **every
@@ -72,7 +72,7 @@ from stored-minus-removed plus staged under the canonical sort, inside the
 same transaction.  A *committed* file therefore always has an empty staged
 log and fully fresh block summaries: pooled readers decode blocks without
 ever merging, and the stored ``max_weight`` values are bit-identical to
-what the in-memory backends compute fresh (cross-backend skip statistics
+what the in-memory backends compute fresh (cross-backend partition bounds
 stay equal).  Between commits a stale summary can only be stale-*high*
 (sizes grow monotonically within a transaction), which loosens bounds but
 never breaks exactness.  A file stamped with any other schema version is
@@ -782,8 +782,8 @@ class DiskStore(FragmentStore):
         are empty on disk after any commit, pooled readers decode blocks
         without merging, and every stored per-block ``max_weight`` reflects
         the fragment sizes as of the commit — bit-identical to the
-        in-memory backends' fresh computation, which keeps block skip/decode
-        statistics equal across backends.
+        in-memory backends' fresh computation, which keeps partition bounds
+        equal across backends.
         """
         if not self._dirty_keywords:
             return
@@ -1695,9 +1695,8 @@ class DiskStore(FragmentStore):
             for identifier in dict.fromkeys(identifiers):
                 wanted.append((identifier, encode_identifier(identifier)))
         else:
-            # Hoisted bound methods: this validation loop runs once per
-            # lazy-scorer vector fetch — tens of thousands of times per
-            # large search — so the per-fragment attribute walks add up.
+            # Hoisted bound methods: the per-fragment attribute walks add
+            # up on large batches.
             epoch_of = self._epoch_clock.fragment_epoch
             cache_get = self._terms_cache.get
             with self._cache_lock:

@@ -40,8 +40,8 @@ class InMemoryStore(FragmentStore):
         # Reverse map: fragment -> keyword -> occurrence count, insertion
         # ordered.  The keys make removals touch only the inverted lists the
         # fragment appears in; the values answer per-fragment term-vector
-        # reads (fragment_term_frequencies and the lazy scorer's batched
-        # vector fill) without scanning any posting list.  Duplicate
+        # reads (fragment_term_frequencies and its batched form) without
+        # scanning any posting list.  Duplicate
         # (keyword, fragment) postings keep the maximum count — the entry a
         # descending-sorted list scan finds first.
         self._fragment_keywords: Dict[FragmentId, Dict[str, int]] = {}

@@ -1,8 +1,8 @@
 """An independent oracle for the top-k search: Algorithm 1, transcribed.
 
-``TopKSearcher(early_termination=False)`` runs the same ``SearchStream`` loop
-as the bounded searcher, so comparing the two cannot catch a mistake in what
-that loop carries between dequeues.  This module shares none of it: every
+``TopKSearcher`` carries page state between dequeues and prunes expansion
+candidates on an admissible bound; a test that compares the searcher with
+itself cannot catch a mistake in either.  This module shares neither: every
 seed is scored up front, every expansion candidate re-scores the whole
 assembled page with the reference :meth:`DashScorer.score`, and page members,
 candidates and adjacency are re-derived from nothing at every dequeue.  The
@@ -26,7 +26,7 @@ def oracle_search(index, graph, keywords, k, size_threshold):
     candidate of every dequeued page that was still below ``size_threshold``.
     """
     canonical = tuple(dict.fromkeys(str(keyword).lower() for keyword in keywords))
-    scorer = DashScorer(index, canonical)  # eager: whole inverted lists
+    scorer = DashScorer(index, canonical)
 
     def page_of(fragments):
         return tuple(sorted(fragments, key=identifier_order))

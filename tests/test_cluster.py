@@ -654,9 +654,8 @@ class TestPartitionPruning:
         try:
             detailed = cluster.router.search_detailed(["saffron"], k=10)
             statistics = detailed.statistics
-            assert statistics.seeds_scored + statistics.pruned_dequeues == (
-                statistics.seed_fragments
-            )
+            relevant = sum(1 for terms in fragments.values() if "saffron" in terms)
+            assert statistics.seeds_scored == relevant
             assert statistics.complete
         finally:
             cluster.close()

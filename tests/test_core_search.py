@@ -155,11 +155,13 @@ class TestTopKSearch:
         assert ("American", 9) in found and ("American", 12) in found
 
     def test_invalid_parameters(self, built):
-        _index, _graph, _formulator, searcher = built
+        index, graph, formulator, searcher = built
         with pytest.raises(ValueError):
             searcher.search(["burger"], k=0)
         with pytest.raises(ValueError):
             searcher.search(["burger"], size_threshold=0)
+        with pytest.raises(ValueError):  # the block-bounded mode is gone, not ignored
+            TopKSearcher(index, graph, formulator, early_termination=True)
 
     def test_statistics_populated(self, built):
         _index, _graph, _formulator, searcher = built
@@ -217,8 +219,8 @@ class TestIdentifierCaches:
 
         stream = searcher.stream(["hot"], 1, 1000)
         heads = []
-        while stream.peek_entry() is not None:
-            heads.append(stream.peek_entry())
+        while stream.bound_key() is not None:
+            heads.append(stream.bound_key())
             stream.next_result(heads[-1])
         assert stream.results[0].fragments == tuple(chain)
         assert any(len(members) > 1 for _score, _tie, members in heads)
@@ -283,10 +285,10 @@ class TestSearchStreamBatching:
         # own limit and everything left behind must exceed it.
         _index, _graph, _formulator, searcher = built
         stream = searcher.stream(["burger"], 5, 1)
-        head = stream.peek_entry()
+        head = stream.bound_key()
         batch = stream.next_results(head, 5)
         assert len(batch) >= 1
-        refreshed = stream.peek_entry()
+        refreshed = stream.bound_key()
         assert refreshed is None or refreshed > head
 
     def test_batch_stops_at_max_results(self, built):

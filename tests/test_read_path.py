@@ -1,10 +1,10 @@
-"""The overhauled read path: batched reads, the DiskStore read-connection
-pool, and exact score-bounded early termination.
+"""The read path: batched reads, the DiskStore read-connection pool, and the
+top-k searcher pinned to the independent oracle.
 
 Three guarantees are load-bearing:
 
-* **Exactness** — the bounded searcher must return byte-identical results
-  (URLs, scores, fragments, sizes) to the bound-free exhaustive searcher on
+* **Exactness** — the searcher must return byte-identical results (URLs,
+  scores, fragments, sizes) and dependencies to ``tests/oracle.py`` on
   every backend, for randomized corpora and queries (hypothesis) as well as
   the running examples.  Pruning that changes output is a correctness bug,
   not a performance trade.
@@ -46,17 +46,14 @@ def _disk_store() -> DiskStore:
     return DiskStore(os.path.join(tempfile.mkdtemp(prefix="repro-read-path-"), "store.sqlite"))
 
 
-def _build(fragments, store, early_termination=True):
+def _build(fragments, store):
     index = InvertedFragmentIndex(store=store)
     for identifier, term_frequencies in fragments.items():
         index.add_fragment(identifier, term_frequencies)
     index.finalize()
     sizes = {identifier: index.fragment_size(identifier) for identifier in fragments}
     graph = FragmentGraph.build(QUERY, sizes, store=store)
-    searcher = TopKSearcher(
-        index, graph, UrlFormulator(QUERY, SPEC, URI), early_termination=early_termination
-    )
-    return index, graph, searcher
+    return index, graph, TopKSearcher(index, graph, UrlFormulator(QUERY, SPEC, URI))
 
 
 def _result_tuples(results):
@@ -88,84 +85,18 @@ def _random_fragments(seed: int, count: int):
     return fragments
 
 
-class TestEarlyTerminationExactness:
-    """Bounded and exhaustive searches must be byte-identical everywhere."""
-
-    @RELAXED
-    @given(
-        fragments=corpus_strategy,
-        query_seed=st.integers(min_value=0, max_value=10_000),
-        k=st.integers(min_value=1, max_value=6),
-        size_threshold=st.sampled_from([1, 10, 60]),
-    )
-    def test_bounded_equals_exhaustive_across_backends(
-        self, fragments, query_seed, k, size_threshold
-    ):
-        import random
-
-        rng = random.Random(query_seed)
-        vocabulary = [f"kw{index:02d}" for index in range(30)] + ["unknown"]
-        keywords = rng.sample(vocabulary, rng.randint(1, 3))
-
-        _, _, exhaustive = _build(fragments, InMemoryStore(), early_termination=False)
-        expected = _result_tuples(exhaustive.search(keywords, k=k, size_threshold=size_threshold))
-        assert exhaustive.last_statistics.pruned_dequeues == 0
-        assert exhaustive.last_statistics.pruned_expansions == 0
-
-        for store_factory in (InMemoryStore, _disk_store):
-            _, _, bounded = _build(fragments, store_factory(), early_termination=True)
-            actual = _result_tuples(bounded.search(keywords, k=k, size_threshold=size_threshold))
-            assert actual == expected
-
-    def test_pruned_work_is_reported(self):
-        """An impact-skewed query must leave whole blocks undecoded.
-
-        The inverted list is impact-ordered, so the first block carries the
-        highest per-fragment weights (sizes are aligned with occurrences
-        here); with a small ``k`` the search decodes that block, pops its
-        best seeds, and the remaining blocks' admissible bounds can never
-        win a dequeue — they are skipped wholesale, their postings never
-        decoded, let alone scored.
-        """
-        from repro.store.blocks import BLOCK_SIZE
-
-        count = 2 * BLOCK_SIZE + 44
-        fragments = {}
-        for index in range(count):
-            tier = 9 - (index * 9) // count  # descending impact tiers
-            fragments[("Cuisine00", 5 + index)] = {"hot": 1 + tier, "filler": 3}
-        _, _, bounded = _build(fragments, InMemoryStore())
-        _, _, exhaustive = _build(fragments, InMemoryStore(), early_termination=False)
-        keywords = ["hot"]
-        bounded_results = bounded.search(keywords, k=2, size_threshold=1)
-        exhaustive_results = exhaustive.search(keywords, k=2, size_threshold=1)
-        assert _result_tuples(bounded_results) == _result_tuples(exhaustive_results)
-        statistics = bounded.last_statistics
-        assert statistics.seed_fragments == count
-        assert statistics.blocks_decoded >= 1
-        assert statistics.blocks_skipped >= 1
-        assert statistics.postings_decoded < count
-        assert statistics.pruned_dequeues > 0
-        assert statistics.seeds_scored < statistics.seed_fragments
-        assert statistics.seeds_scored + statistics.pruned_dequeues == statistics.seed_fragments
-        totals = bounded.lifetime_statistics()
-        assert totals["searches"] == 1
-        assert totals["pruned_dequeues"] == statistics.pruned_dequeues
-        assert totals["blocks_skipped"] == statistics.blocks_skipped
-        assert totals["blocks_decoded"] == statistics.blocks_decoded
-        assert totals["postings_decoded"] == statistics.postings_decoded
-        assert totals["pruned_expansions"] == statistics.pruned_expansions
+class TestExpansionPruning:
+    """The pruning the searcher does perform is counted, on any backend."""
 
     def test_expansion_tier_pruning_is_reported(self):
         """Irrelevant neighbours are skipped once a relevant candidate exists."""
         fragments = _random_fragments(seed=3, count=90)
-        _, _, bounded = _build(fragments, InMemoryStore())
-        _, _, exhaustive = _build(fragments, InMemoryStore(), early_termination=False)
-        keywords = ["kw00", "kw01", "kw02"]
-        bounded_results = bounded.search(keywords, k=2, size_threshold=10)
-        exhaustive_results = exhaustive.search(keywords, k=2, size_threshold=10)
-        assert _result_tuples(bounded_results) == _result_tuples(exhaustive_results)
-        assert bounded.last_statistics.pruned_expansions > 0
+        _, _, searcher = _build(fragments, InMemoryStore())
+        searcher.search(["kw00", "kw01", "kw02"], k=2, size_threshold=10)
+        assert searcher.last_statistics.pruned_expansions > 0
+        totals = searcher.lifetime_statistics()
+        assert totals["searches"] == 1
+        assert totals["pruned_expansions"] == searcher.last_statistics.pruned_expansions
 
     def test_dequeue_and_expansion_counts_are_backend_independent(self):
         fragments = _random_fragments(seed=9, count=60)
@@ -179,12 +110,11 @@ class TestEarlyTerminationExactness:
 
 
 class TestIndependentOracle:
-    """Both searcher modes against ``tests/oracle.py``.
+    """The searcher against ``tests/oracle.py``, on memory and disk.
 
-    The exhaustive searcher shares the dequeue loop with the bounded one, so
-    state carried wrongly between a page's dequeues would pass every
-    bounded-vs-exhaustive comparison; the oracle re-derives everything at
-    every dequeue.
+    State carried wrongly between a page's dequeues, or a bound that prunes
+    a winner, would pass every searcher-vs-searcher comparison; the oracle
+    re-derives everything at every dequeue and prunes nothing.
     """
 
     #: One chain, two seeds (2 and 4) either side of an irrelevant middle:
@@ -201,11 +131,8 @@ class TestIndependentOracle:
     }
 
     @pytest.mark.parametrize("store_factory", [InMemoryStore, _disk_store])
-    @pytest.mark.parametrize("early_termination", [True, False])
-    def test_a_page_reached_by_two_routes_expands_the_same_on_both(
-        self, store_factory, early_termination
-    ):
-        index, graph, searcher = _build(self.CHAIN, store_factory(), early_termination)
+    def test_a_page_reached_by_two_routes_expands_the_same_on_both(self, store_factory):
+        index, graph, searcher = _build(self.CHAIN, store_factory())
         detailed = searcher.search_detailed(["hot"], k=3, size_threshold=10)
         expected, dependencies = oracle_search(index, graph, ["hot"], 3, 10)
         converged = tuple(("Cuisine00", budget) for budget in (2, 3, 4, 5))
@@ -222,7 +149,7 @@ class TestIndependentOracle:
         size_threshold=st.sampled_from([1, 10, 60]),
         store_factory=st.sampled_from([InMemoryStore, _disk_store]),
     )
-    def test_both_modes_match_the_oracle_on_results_and_dependencies(
+    def test_matches_the_oracle_on_results_and_dependencies(
         self, fragments, query_seed, k, size_threshold, store_factory
     ):
         import random
@@ -230,33 +157,28 @@ class TestIndependentOracle:
         rng = random.Random(query_seed)
         vocabulary = [f"kw{index:02d}" for index in range(30)] + ["unknown"]
         keywords = rng.sample(vocabulary, rng.randint(1, 3))
-        index, graph, exhaustive = _build(fragments, store_factory(), early_termination=False)
+        index, graph, searcher = _build(fragments, store_factory())
         expected, dependencies = oracle_search(index, graph, keywords, k, size_threshold)
-
-        eager = exhaustive.search_detailed(keywords, k=k, size_threshold=size_threshold)
-        assert [(r.fragments, r.score, r.size) for r in eager.results] == expected
-        assert eager.dependencies == dependencies
-
-        _, _, bounded = _build(fragments, store_factory())
-        pruned = bounded.search_detailed(keywords, k=k, size_threshold=size_threshold)
-        assert _result_tuples(pruned.results) == _result_tuples(eager.results)
-        # Bounded mode consults the same candidates and only the seeds it
-        # materialized: it may miss never-decoded seeds, nothing else.
-        assert pruned.dependencies <= dependencies
-        seeds = {posting.document_id for w in keywords for posting in index.postings(w)}
-        assert dependencies - pruned.dependencies <= seeds
-        assert pruned.statistics.expansions == eager.statistics.expansions
+        detailed = searcher.search_detailed(keywords, k=k, size_threshold=size_threshold)
+        assert [(r.fragments, r.score, r.size) for r in detailed.results] == expected
+        assert detailed.dependencies == dependencies
 
 
 # ----------------------------------------------------------------------
-# the precomputed bound building blocks
+# the expansion loop's score bound
 # ----------------------------------------------------------------------
 class TestAdmissibleBounds:
-    """The scoring layer's precomputed bounds must never under-cap a score."""
+    """``score_bound`` must never under-cap the score it stands in for."""
 
     @RELAXED
-    @given(fragments=corpus_strategy, query_seed=st.integers(min_value=0, max_value=10_000))
-    def test_sorted_lists_and_seed_bounds_are_admissible(self, fragments, query_seed):
+    @given(
+        fragments=corpus_strategy,
+        query_seed=st.integers(min_value=0, max_value=10_000),
+        store_factory=st.sampled_from([InMemoryStore, _disk_store]),
+    )
+    def test_expansion_score_bound_is_admissible(self, fragments, query_seed, store_factory):
+        """The call ``_expand`` makes: a page extended by one candidate,
+        bounded from the candidate's occurrence total instead of its size."""
         import random
 
         from repro.core.scoring import DashScorer
@@ -264,21 +186,19 @@ class TestAdmissibleBounds:
         rng = random.Random(query_seed)
         vocabulary = [f"kw{index:02d}" for index in range(30)] + ["unknown"]
         keywords = rng.sample(vocabulary, rng.randint(1, 3))
-        index, _, _ = _build(fragments, InMemoryStore())
+        index, _, _ = _build(fragments, store_factory())
         scorer = DashScorer(index, keywords)
+        identifiers = list(fragments)
+        for _ in range(20):
+            page = rng.sample(identifiers, rng.randint(1, min(4, len(identifiers) - 1)))
+            candidate = rng.choice([f for f in identifiers if f not in page])
+            stats = scorer.page_stats(page)
+            extended = scorer.extended_occurrences(stats.occurrences, candidate)
+            least_size = stats.size + sum(extended) - sum(stats.occurrences)
+            exact = scorer.score_totals(extended, stats.size + scorer.size_of(candidate))
+            assert scorer.score_bound(extended, least_size) >= exact
 
-        for keyword in keywords:
-            postings = index.postings(keyword)
-            if postings:
-                # the per-keyword occurrence ceiling is the head of the
-                # descending-sorted list — the invariant the bound math rides
-                assert postings[0].term_frequency == max(
-                    p.term_frequency for p in postings
-                )
 
-        bounds = scorer.seed_score_bounds()
-        for identifier in bounds:
-            assert bounds[identifier] >= scorer.score((identifier,))
 class TestBatchedReads:
     @pytest.mark.parametrize("store_factory", [InMemoryStore, _disk_store])
     def test_postings_for_many_matches_postings(self, store_factory):

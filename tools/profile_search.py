@@ -3,15 +3,14 @@
 Builds the synthetic fooddb-shaped corpus the store benchmarks use, runs a
 mixed single-/multi-keyword query loop against the chosen backend, and
 prints the top cumulative hot spots — the quickest way to see where a
-backend's search time actually goes (seed materialization, size reads,
-neighbour lookups, ...) before and after a change.
+backend's search time actually goes (seed scoring, size reads, neighbour
+lookups, ...) before and after a change.
 
 Usage::
 
     PYTHONPATH=src python tools/profile_search.py --backend disk --fragments 6000
     PYTHONPATH=src python tools/profile_search.py --backend memory --top 30
     PYTHONPATH=src python tools/profile_search.py --backend memory --output profile.txt
-    PYTHONPATH=src python tools/profile_search.py --backend disk --no-early-termination
     PYTHONPATH=src python tools/profile_search.py --compare memory,disk
     PYTHONPATH=src python tools/profile_search.py --cluster nodes=4,replicas=2
     PYTHONPATH=src python tools/profile_search.py --backend memory --sort tottime
@@ -24,12 +23,9 @@ performed — the unit cost of Algorithm 1's expand-and-requeue step, readable
 without a pstats table.
 
 ``--backend`` accepts ``seed`` (the pre-store baseline searcher), ``memory``
-and ``disk``.  ``--no-early-termination`` profiles the score-every-seed
-reference path instead of the block-max bounded one.
-``--compare a,b,...`` profiles every listed backend twice — bounded and
-exhaustive — in one run, so block-decode hot spots (``decode_block``,
-``posting_blocks_for_many``) can be read side by side against the full-scan
-path.  ``--cluster nodes=N,replicas=R`` profiles the
+and ``disk``.  ``--compare a,b,...`` profiles every listed backend in one
+run, so their hot spots can be read side by side.
+``--cluster nodes=N,replicas=R`` profiles the
 :class:`~repro.cluster.QueryRouter` hot paths (term-stats cache lookups,
 bound-aware pruning, sentinel merge) with the same corpus and query mix as
 the single-store backends — the warm-up pass fills the term-stats cache, so
@@ -94,12 +90,11 @@ def profile_backend(
     fragments: int,
     repeats: int,
     top: int,
-    early_termination: bool = True,
     sort: str = "cumulative",
 ) -> str:
     """Profile ``repeats`` passes of the standard query mix; returns the report."""
     corpus = synthetic_fragments(fragments)
-    searcher = searcher_for(backend, corpus, early_termination=early_termination)
+    searcher = searcher_for(backend, corpus)
     workload = keyword_workload(searcher.index)
     queries = [[keyword] for keyword in workload.values()]
     queries.append(list(workload.values()))  # one multi-keyword query
@@ -120,7 +115,6 @@ def profile_backend(
 
     header = (
         f"backend={backend} fragments={fragments} repeats={repeats} "
-        f"early_termination={early_termination} "
         f"queries/pass={len(queries) * len(SIZE_THRESHOLDS)}\n"
     )
     try:
@@ -128,11 +122,7 @@ def profile_backend(
         header += (
             f"last search: seeds={search_statistics.seed_fragments} "
             f"scored={search_statistics.seeds_scored} "
-            f"pruned_dequeues={search_statistics.pruned_dequeues} "
-            f"pruned_expansions={search_statistics.pruned_expansions} "
-            f"blocks_skipped={search_statistics.blocks_skipped} "
-            f"blocks_decoded={search_statistics.blocks_decoded} "
-            f"postings_decoded={search_statistics.postings_decoded}\n"
+            f"pruned_expansions={search_statistics.pruned_expansions}\n"
         )
     except AttributeError:
         pass  # the seed replica carries no statistics
@@ -218,16 +208,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")
     parser.add_argument(
-        "--no-early-termination",
-        action="store_true",
-        help="profile the exhaustive (bound-free) search path instead",
-    )
-    parser.add_argument(
         "--compare",
         default=None,
         metavar="BACKENDS",
-        help="comma-separated backends; profiles each one bounded AND "
-        "exhaustive in a single run (overrides --backend)",
+        help="comma-separated backends, each profiled in a single run "
+        "(overrides --backend)",
     )
     parser.add_argument(
         "--cluster",
@@ -249,17 +234,15 @@ def main(argv=None) -> int:
     elif arguments.compare:
         sections = []
         for backend in [name.strip() for name in arguments.compare.split(",") if name.strip()]:
-            for early_termination in (True, False):
-                sections.append(
-                    profile_backend(
-                        backend,
-                        arguments.fragments,
-                        arguments.repeats,
-                        arguments.top,
-                        early_termination=early_termination,
-                        sort=arguments.sort,
-                    )
+            sections.append(
+                profile_backend(
+                    backend,
+                    arguments.fragments,
+                    arguments.repeats,
+                    arguments.top,
+                    sort=arguments.sort,
                 )
+            )
         report = ("=" * 78 + "\n").join(sections)
     else:
         report = profile_backend(
@@ -267,7 +250,6 @@ def main(argv=None) -> int:
             arguments.fragments,
             arguments.repeats,
             arguments.top,
-            early_termination=not arguments.no_early_termination,
             sort=arguments.sort,
         )
     if arguments.output:
