@@ -5,8 +5,8 @@ increasing scales and measures, per scale,
 
 * ``single``      — the single-process reference build: per-fragment
                     ``InvertedFragmentIndex.add_fragment`` into one
-                    :class:`DiskStore` plus one ``finalize()`` (the blessed
-                    pre-pipeline path),
+                    :class:`DiskStore` inside one ``write_batch`` (the
+                    blessed pre-pipeline path),
 * ``distributed`` — :class:`repro.build.BuildPipeline` into a fresh
                     :class:`DiskStore`: partitioned map tasks, sorted-run
                     reduce tasks, parallel per-shard bulk loads and the final
@@ -80,9 +80,9 @@ def build_single(corpus: SyntheticCorpus, path: str) -> Tuple[DiskStore, float]:
     started = time.perf_counter()
     store = DiskStore(path)
     index = InvertedFragmentIndex(store=store)
-    for identifier, term_frequencies in corpus:
-        index.add_fragment(identifier, term_frequencies)
-    index.finalize()
+    with store.write_batch():
+        for identifier, term_frequencies in corpus:
+            index.add_fragment(identifier, term_frequencies)
     return store, time.perf_counter() - started
 
 

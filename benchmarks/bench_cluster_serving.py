@@ -139,8 +139,9 @@ def capacity_factory(delay_seconds: float) -> Callable[[str, int], NodeCapacityS
 # ----------------------------------------------------------------------
 def build_searcher(fragments, store) -> TopKSearcher:
     index = InvertedFragmentIndex(store=store)
-    for identifier, term_frequencies in fragments.items():
-        index.add_fragment(identifier, term_frequencies)
+    with store.write_batch():
+        for identifier, term_frequencies in fragments.items():
+            index.add_fragment(identifier, term_frequencies)
     index.finalize()
     sizes = {identifier: index.fragment_size(identifier) for identifier in fragments}
     graph = FragmentGraph.build(QUERY, sizes, store=store)

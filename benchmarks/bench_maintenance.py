@@ -6,8 +6,8 @@ Measures what the write-path overhaul is for:
    per-fragment swap ops a Zipf-skewed insert/delete stream
    (:func:`repro.datasets.workloads.zipf_mutation_stream`) induces are
    recorded once, then applied to two identical stores two ways: the
-   seed-era *per-fragment* loop (one ``replace_fragment`` — on disk, one
-   sqlite transaction — plus a ``finalize`` per update) and one
+   *per-fragment* loop (one ``replace_fragment`` — a one-op batch: on
+   disk, one sqlite transaction — plus a ``finalize`` per update) and one
    :meth:`~repro.store.FragmentStore.apply_mutations` batch per
    ``REPRO_BENCH_MAINT_BATCH`` updates (on disk: one crash-safe
    transaction, repeated hot-fragment touches coalesced to one swap).
@@ -120,7 +120,8 @@ class PerFragmentMaintainer(IncrementalMaintainer):
     """The seed-era write path, preserved as the measured baseline.
 
     Each refresh loops ``replace_fragment`` / ``remove_fragment`` one
-    fragment at a time (on ``DiskStore``: one sqlite transaction per swap)
+    fragment at a time (one-op batches; on ``DiskStore``: one sqlite
+    transaction per swap)
     and finalizes the index once per *update* — exactly what
     ``IncrementalMaintainer._refresh`` did before the batched overhaul.
     """
@@ -244,8 +245,8 @@ def run_store_throughput() -> Dict:
     parity_ok = True
     for start in range(0, len(per_update_ops), BATCH):
         chunk = per_update_ops[start : start + BATCH]
-        # the seed-era loop: one replace (one disk transaction) per fragment,
-        # one finalize per update
+        # the per-fragment loop: one one-op batch (one disk transaction) per
+        # fragment, one finalize per update
         begun = time.perf_counter()
         for ops in chunk:
             for op in ops:

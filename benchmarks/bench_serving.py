@@ -153,8 +153,9 @@ class StorageLatencyDiskStore(DiskStore):
 # ----------------------------------------------------------------------
 def build_searcher(fragments, store) -> TopKSearcher:
     index = InvertedFragmentIndex(store=store)
-    for identifier, term_frequencies in fragments.items():
-        index.add_fragment(identifier, term_frequencies)
+    with store.write_batch():
+        for identifier, term_frequencies in fragments.items():
+            index.add_fragment(identifier, term_frequencies)
     index.finalize()
     sizes = {identifier: index.fragment_size(identifier) for identifier in fragments}
     graph = FragmentGraph.build(QUERY, sizes, store=store)

@@ -174,8 +174,9 @@ def query_workload(index: InvertedFragmentIndex) -> Dict[str, List[str]]:
 
 def build_backend(fragments, store):
     index = InvertedFragmentIndex(store=store)
-    for identifier, term_frequencies in fragments.items():
-        index.add_fragment(identifier, term_frequencies)
+    with store.write_batch():
+        for identifier, term_frequencies in fragments.items():
+            index.add_fragment(identifier, term_frequencies)
     index.finalize()
     sizes = {identifier: index.fragment_size(identifier) for identifier in fragments}
     graph = FragmentGraph.build(QUERY, sizes, store=store)

@@ -28,15 +28,22 @@ Stages, in order:
    produces, so the downstream shard build degenerates to a streaming load.
 3. **load** — task *r* builds ``shard-r.building``, bulk-stages its run
    with the *global* fragment sizes (weights must not depend on the
-   partitioning), finalizes, and atomically publishes ``shard-r.sqlite``
-   via ``os.replace``.  A killed load attempt leaves no published shard
-   behind — the ``.building`` file is removed and the retry starts clean.
+   partitioning) in one write batch, and atomically publishes
+   ``shard-r.sqlite`` via ``os.replace``.  A killed load attempt leaves no
+   published shard behind — the ``.building`` file is removed and the
+   retry starts clean.
    Because reduce partitions keywords by hash, shards hold **disjoint
    keyword partitions** whose posting blocks are already canonical.
 4. **merge** — the serving store absorbs each shard's posting blocks as a
    straight row copy, loads the authoritative fragment rows (sizes + term
    vectors, including fragments with no postings at all) from the map
-   stage's fragment spools, and commits once.
+   stage's fragment spools, and commits once (one write batch).
+
+Only a :class:`~repro.store.disk.DiskStore` target runs all four.  Any
+other backend takes whole fragments, so its build is map → load: the map
+tasks write just the fragment spools (no posting spools, no reduce stage,
+no runs), load task *r* hands fragment spools *r*, *r + R*, … to
+``bulk_load``, and the merge is ``store.finalize()``.
 
 Worker failures are retried through the MapReduce substrate's
 :class:`~repro.mapreduce.runtime.TaskRunner`: a raised
@@ -122,10 +129,10 @@ def _load_shard(
     """Build and atomically publish one shard file from its sorted run.
 
     The ``.building`` file is the only mutable state; it is removed on any
-    failure and only renamed to ``shard-<r>.sqlite`` after a successful
-    ``finalize()``, so an observer never sees a partially-loaded shard.
+    failure and only renamed to ``shard-<r>.sqlite`` after its one write
+    batch committed, so an observer never sees a partially-loaded shard.
     ``checkpoint`` (the ``load:finalize`` fault-injection seam) runs after
-    staging but before the finalize, where a crash is most damaging.
+    staging but before the compacting commit, where a crash is most damaging.
     """
     building = _building_shard_path(workdir, partition)
     published = shard_path(workdir, partition)
@@ -135,10 +142,10 @@ def _load_shard(
     postings = _read_pickle(_run_path(workdir, partition))
     store = DiskStore(building)
     try:
-        staged = store.bulk_load_run(postings, sizes, finalize=False)
-        if checkpoint is not None:
-            checkpoint()
-        store.finalize()
+        with store.write_batch():
+            staged = store.bulk_load_run(postings, sizes)
+            if checkpoint is not None:
+                checkpoint()
     except BaseException:
         store.close()
         if os.path.exists(building):
@@ -218,9 +225,10 @@ class BuildPipeline:
       per-partition shard files built in parallel (worker processes when
       ``workers > 1`` and no fault injector is installed, inline otherwise)
       and absorbed as canonical posting-block rows;
-    * any other backend replays the sorted runs through the store's posting
-      API (the runs are identical either way, which is what lets the parity
-      suite compare memory and disk targets posting for posting).
+    * any other backend takes the map stage's whole fragments through
+      ``bulk_load`` (the same fragment spools the disk merge reads, which is
+      what lets the parity suite compare memory and disk targets posting
+      for posting); the posting spools and the reduce stage are skipped.
 
     ``workdir`` holds the spools, runs and shard files; when omitted a
     temporary directory is created and removed with the run.
@@ -266,24 +274,21 @@ class BuildPipeline:
         else:
             os.makedirs(workdir, exist_ok=True)
         try:
+            sharded = isinstance(store, DiskStore)
             step = time.perf_counter()
-            self._run_map_phase(workdir)
+            self._run_map_phase(workdir, spool_postings=sharded)
             report.map_seconds = time.perf_counter() - step
 
-            sizes = self._global_sizes(workdir)
+            sizes, report.postings, keywords = self._survey_fragments(workdir)
             report.fragments = len(sizes)
-
-            step = time.perf_counter()
-            run_members = self._run_reduce_phase(workdir)
-            report.reduce_seconds = time.perf_counter() - step
-            report.postings = sum(count for count, _members in run_members)
-            keywords: Set[str] = set()
-            for _count, members in run_members:
-                keywords.update(members[1])
             report.keywords = len(keywords)
 
-            step = time.perf_counter()
-            if isinstance(store, DiskStore):
+            if sharded:
+                step = time.perf_counter()
+                run_members = self._run_reduce_phase(workdir)
+                report.reduce_seconds = time.perf_counter() - step
+
+                step = time.perf_counter()
                 shard_files = self._run_load_phase_disk(workdir, sizes, run_members)
                 report.load_seconds = time.perf_counter() - step
                 report.shard_files = tuple(shard_files)
@@ -292,11 +297,12 @@ class BuildPipeline:
                 self._merge_into_disk(store, workdir, shard_files)
                 report.merge_seconds = time.perf_counter() - step
             else:
+                step = time.perf_counter()
                 self._run_load_phase_generic(workdir, store)
                 report.load_seconds = time.perf_counter() - step
 
                 step = time.perf_counter()
-                self._merge_into_generic(store, workdir)
+                store.finalize()
                 report.merge_seconds = time.perf_counter() - step
         finally:
             report.retries = dict(self.task_runner.retries)
@@ -308,7 +314,7 @@ class BuildPipeline:
     # ------------------------------------------------------------------
     # stage 1: map
     # ------------------------------------------------------------------
-    def _run_map_phase(self, workdir: str) -> None:
+    def _run_map_phase(self, workdir: str, spool_postings: bool) -> None:
         partitions = self.source.partitions(self.map_tasks)
         if len(partitions) != self.map_tasks:
             raise BuildPipelineError(
@@ -336,14 +342,16 @@ class BuildPipeline:
                         if occurrences <= 0:
                             continue
                         vector.append((keyword, occurrences))
-                        spools[default_partitioner(keyword, reduce_tasks)].append(
-                            (keyword, identifier, occurrences)
-                        )
+                        if spool_postings:
+                            spools[default_partitioner(keyword, reduce_tasks)].append(
+                                (keyword, identifier, occurrences)
+                            )
                     fragments.append((identifier, vector))
-                for partition, postings in enumerate(spools):
-                    _atomic_pickle(
-                        _map_posting_spool(workdir, task_index, partition), postings
-                    )
+                if spool_postings:
+                    for partition, postings in enumerate(spools):
+                        _atomic_pickle(
+                            _map_posting_spool(workdir, task_index, partition), postings
+                        )
                 _atomic_pickle(_map_fragment_spool(workdir, task_index), fragments)
                 return len(fragments)
 
@@ -354,9 +362,15 @@ class BuildPipeline:
             [make_task(index, stream) for index, stream in enumerate(partitions)],
         )
 
-    def _global_sizes(self, workdir: str) -> Dict[FragmentId, int]:
-        """Authoritative identifier → size map (and the duplicate-owner guard)."""
+    def _survey_fragments(self, workdir: str) -> Tuple[Dict[FragmentId, int], int, Set[str]]:
+        """The corpus as the map stage spooled it: sizes, posting count, keywords.
+
+        The identifier → size map is authoritative (shard weights must not
+        depend on the partitioning) and doubles as the duplicate-owner guard.
+        """
         sizes: Dict[FragmentId, int] = {}
+        postings = 0
+        keywords: Set[str] = set()
         for task_index in range(self.map_tasks):
             for identifier, vector in _read_pickle(_map_fragment_spool(workdir, task_index)):
                 if identifier in sizes:
@@ -365,18 +379,19 @@ class BuildPipeline:
                         "partitions; corpus partitions must be disjoint"
                     )
                 sizes[identifier] = sum(occurrences for _keyword, occurrences in vector)
-        return sizes
+                postings += len(vector)
+                keywords.update(keyword for keyword, _occurrences in vector)
+        return sizes, postings, keywords
 
     # ------------------------------------------------------------------
     # stage 2: reduce
     # ------------------------------------------------------------------
-    def _run_reduce_phase(
-        self, workdir: str
-    ) -> List[Tuple[int, Tuple[Set[FragmentId], Set[str]]]]:
+    def _run_reduce_phase(self, workdir: str) -> List[Set[FragmentId]]:
+        """Sort every reduce partition's run; returns each run's fragments."""
         map_tasks = self.map_tasks
 
-        def make_task(partition: int) -> Callable[[int], Tuple[int, Tuple[Set, Set]]]:
-            def run_reduce(_attempt: int) -> Tuple[int, Tuple[Set, Set]]:
+        def make_task(partition: int) -> Callable[[int], Set[FragmentId]]:
+            def run_reduce(_attempt: int) -> Set[FragmentId]:
                 rows: List[Tuple[str, FragmentId, int]] = []
                 for task_index in range(map_tasks):
                     rows.extend(
@@ -384,9 +399,7 @@ class BuildPipeline:
                     )
                 rows.sort(key=_run_sort_key)
                 _atomic_pickle(_run_path(workdir, partition), rows)
-                identifiers = {row[1] for row in rows}
-                keywords = {row[0] for row in rows}
-                return len(rows), (identifiers, keywords)
+                return {row[1] for row in rows}
 
             return run_reduce
 
@@ -401,15 +414,15 @@ class BuildPipeline:
         self,
         workdir: str,
         sizes: Dict[FragmentId, int],
-        run_members: Sequence[Tuple[int, Tuple[Set[FragmentId], Set[str]]]],
+        run_members: Sequence[Set[FragmentId]],
     ) -> List[str]:
         """Build every shard file — in worker processes when allowed."""
         # Each shard only stores the fragments its run references; the merge
         # loads the full fragment table, so shards stay proportional to
         # their keyword partition.
         subsets = [
-            {identifier: sizes[identifier] for identifier in members[0]}
-            for _count, members in run_members
+            {identifier: sizes[identifier] for identifier in members}
+            for members in run_members
         ]
         runner = self.task_runner
         use_processes = self.workers > 1 and runner.policy.failure_injector is None
@@ -457,21 +470,25 @@ class BuildPipeline:
         return [path for path in results if path is not None]
 
     def _run_load_phase_generic(self, workdir: str, store: FragmentStore) -> None:
-        """Replay the sorted runs through the store's posting API.
+        """Bulk-load the map stage's whole fragments into the store.
 
-        Mutations only start after the attempt's checkpoints have passed, so
-        an injected failure leaves the store untouched and the retry loads
-        the identical run.
+        Load task *r* takes every ``reduce_tasks``-th fragment spool starting
+        at *r* — whole term vectors, so fragments with no postings at all
+        are registered too.  Mutations only start after the attempt's
+        checkpoints have passed and a bulk load validates before it writes,
+        so an injected failure leaves the store untouched and the retry
+        loads the identical fragments.
         """
         runner = self.task_runner
 
         def make_task(partition: int) -> Callable[[int], int]:
             def run_load(attempt: int) -> int:
-                rows = _read_pickle(_run_path(workdir, partition))
+                spools = [
+                    _read_pickle(_map_fragment_spool(workdir, task_index))
+                    for task_index in range(partition, self.map_tasks, self.reduce_tasks)
+                ]
                 runner.checkpoint("load:finalize", partition, attempt)
-                for keyword, identifier, occurrences in rows:
-                    store.add_posting(keyword, identifier, occurrences)
-                return len(rows)
+                return sum(store.bulk_load(fragments) for fragments in spools)
 
             return run_load
 
@@ -481,26 +498,16 @@ class BuildPipeline:
     # ------------------------------------------------------------------
     # stage 4: merge
     # ------------------------------------------------------------------
-    def _iter_fragment_spools(self, workdir: str):
-        for task_index in range(self.map_tasks):
-            yield _read_pickle(_map_fragment_spool(workdir, task_index))
-
     def _merge_into_disk(
         self, store: DiskStore, workdir: str, shard_files: Sequence[str]
     ) -> None:
-        for path in shard_files:
-            store.absorb_index_shard(path)
-        for fragments in self._iter_fragment_spools(workdir):
-            store.bulk_load_fragment_vectors(fragments)
-        store.finalize()
-
-    def _merge_into_generic(self, store: FragmentStore, workdir: str) -> None:
-        # Register every fragment — including ones with no postings at all,
-        # which the runs never mention.
-        for fragments in self._iter_fragment_spools(workdir):
-            for identifier, _vector in fragments:
-                store.touch_fragment(identifier)
-        store.finalize()
+        with store.write_batch():
+            for path in shard_files:
+                store.absorb_index_shard(path)
+            for task_index in range(self.map_tasks):
+                store.bulk_load_fragment_vectors(
+                    _read_pickle(_map_fragment_spool(workdir, task_index))
+                )
 
     # ------------------------------------------------------------------
     def _run_tasks(self, phase: str, tasks: Sequence[Callable[[int], Any]]) -> List[Any]:

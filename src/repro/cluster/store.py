@@ -9,7 +9,9 @@
   stamps cache entries against.  The partition store's clock ticks first (its
   own write methods do), the facade's second, so by the time a cache stamp
   could observe the facade's new epoch the partition data is already
-  committed — the same tick-after-write ordering every single store obeys.
+  committed — the same tick-after-write ordering every single store obeys
+  (inside a ``write_batch`` the facade's ticks wait for the scope's exit,
+  when every primary has committed its share).
   Per-partition clocks stay live underneath for replica freshness checks and
   catch-up (see :class:`~repro.cluster.SearchCluster`).
 * **reads merge** across every partition primary: inverted lists concatenate
@@ -29,7 +31,9 @@ facade: the router opens per-partition search streams directly on the nodes
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Sequence, Set, Tuple
+import contextlib
+import threading
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.core.fragments import FragmentId
 from repro.cluster.partitioning import GroupPartitioner
@@ -40,6 +44,8 @@ from repro.store.mutations import (
     RemoveFragment,
     ReplaceFragment,
     normalize_mutations,
+    regroup_posting_lists,
+    replace_op,
 )
 from repro.text.inverted_index import Posting
 
@@ -62,6 +68,11 @@ class ClusterStore(FragmentStore):
         self._partitioner = partitioner
         self._primary = primary_resolver
         self._mutation_listeners: List[Callable[[Set[str]], None]] = []
+        # An open write_batch defers the facade's ticks to its exit.
+        self._batch_lock = threading.RLock()
+        self._batch_depth = 0
+        self._batch_keywords: Set[str] = set()
+        self._batch_fragments: Set[FragmentId] = set()
 
     # ------------------------------------------------------------------
     # mutation listeners (write-through invalidation)
@@ -124,26 +135,69 @@ class ClusterStore(FragmentStore):
     # ------------------------------------------------------------------
     # postings section — writes
     # ------------------------------------------------------------------
-    def touch_fragment(self, identifier: FragmentId) -> None:
-        identifier = tuple(identifier)
-        self._owner(identifier).touch_fragment(identifier)
-        self._epoch_clock.tick_fragment(identifier)
+    @contextlib.contextmanager
+    def write_batch(self):
+        """One write batch on every partition primary, entered together.
 
-    def add_posting(self, keyword: str, identifier: FragmentId, occurrences: int) -> None:
-        identifier = tuple(identifier)
-        self._owner(identifier).add_posting(keyword, identifier, occurrences)
-        self._epoch_clock.tick_posting(keyword, identifier)
-        self._notify_mutation({keyword})
+        Each primary commits its own share at scope exit (a disk primary as
+        one sqlite transaction; nothing is atomic *across* partitions), and
+        the facade clock ticks once, after the last of those commits — the
+        tick-after-write ordering bare calls have.  It ticks after a raise
+        too: a disk primary rolled its share back, an in-memory one did not,
+        and a spurious invalidation is the harmless side to err on.
+        """
+        with self._batch_lock:
+            self._batch_depth += 1
+            try:
+                with contextlib.ExitStack() as stack:
+                    for store in self._primaries():
+                        stack.enter_context(store.write_batch())
+                    yield self
+            finally:
+                self._batch_depth -= 1
+                if not self._batch_depth and (self._batch_keywords or self._batch_fragments):
+                    keywords, self._batch_keywords = self._batch_keywords, set()
+                    fragments, self._batch_fragments = self._batch_fragments, set()
+                    self._tick(keywords, fragments)
 
-    def remove_fragment(self, identifier: FragmentId) -> None:
-        identifier = tuple(identifier)
-        owner = self._owner(identifier)
-        # The facade must stamp the keywords whose inverted lists shrink,
-        # and only the owner knows them — read them before they are gone.
-        keywords = tuple(owner.fragment_term_frequencies(identifier))
-        owner.remove_fragment(identifier)
-        self._epoch_clock.tick_removal(identifier, keywords)
-        self._notify_mutation(set(keywords))
+    def _tick(self, keywords: Iterable[str], fragments: Iterable[FragmentId]) -> None:
+        """Stamp a committed write on the facade clock (at batch exit when one is open)."""
+        with self._batch_lock:
+            if self._batch_depth:
+                self._batch_keywords.update(keywords)
+                self._batch_fragments.update(fragments)
+                return
+        self._epoch_clock.tick_batch(keywords, fragments)
+        self._notify_mutation(keywords)
+
+    def bulk_load(self, fragments) -> int:
+        """Load fresh fragments, each partition's share as one native load.
+
+        Freshness is validated across the whole load before any partition is
+        written; the facade clock ticks once.
+        """
+        grouped: Dict[int, List[ReplaceFragment]] = {}
+        listed: Set[FragmentId] = set()
+        keywords: Set[str] = set()
+        for identifier, term_frequencies in fragments:
+            op = replace_op(identifier, term_frequencies)
+            partition = self.partition_of(op.identifier)
+            if op.identifier in listed or self._primary(partition).has_fragment(op.identifier):
+                raise StoreError(
+                    f"bulk load would duplicate fragment {op.identifier!r}; "
+                    "bulk loads require fresh fragments"
+                )
+            listed.add(op.identifier)
+            keywords.update(keyword for keyword, _occurrences in op.term_frequencies)
+            grouped.setdefault(partition, []).append(op)
+        if not listed:
+            return 0
+        for partition, ops in grouped.items():
+            self._primary(partition).bulk_load(
+                (op.identifier, op.term_frequencies) for op in ops
+            )
+        self._tick(keywords, listed)
+        return len(listed)
 
     def finalize(self) -> None:
         for store in self._primaries():
@@ -187,8 +241,7 @@ class ClusterStore(FragmentStore):
                         keyword for keyword, _occurrences in op.term_frequencies
                     )
             applied += store.apply_mutations(partition_ops)
-        self._epoch_clock.tick_batch(affected_keywords, affected_fragments)
-        self._notify_mutation(affected_keywords)
+        self._tick(affected_keywords, affected_fragments)
         return applied
 
     # ------------------------------------------------------------------
@@ -288,12 +341,12 @@ class ClusterStore(FragmentStore):
     def add_node(self, identifier: FragmentId, keyword_count: int) -> None:
         identifier = tuple(identifier)
         self._owner(identifier).add_node(identifier, keyword_count)
-        self._epoch_clock.tick_fragment(identifier)
+        self._tick((), (identifier,))
 
     def remove_node(self, identifier: FragmentId) -> None:
         identifier = tuple(identifier)
         self._owner(identifier).remove_node(identifier)
-        self._epoch_clock.tick_fragment(identifier)
+        self._tick((), (identifier,))
 
     def has_node(self, identifier: FragmentId) -> bool:
         return self._owner(tuple(identifier)).has_node(tuple(identifier))
@@ -304,7 +357,7 @@ class ClusterStore(FragmentStore):
     def set_node_keyword_count(self, identifier: FragmentId, keyword_count: int) -> None:
         identifier = tuple(identifier)
         self._owner(identifier).set_node_keyword_count(identifier, keyword_count)
-        self._epoch_clock.tick_fragment(identifier)
+        self._tick((), (identifier,))
 
     def node_ids(self) -> Tuple[FragmentId, ...]:
         identifiers: List[FragmentId] = []
@@ -327,12 +380,12 @@ class ClusterStore(FragmentStore):
                 "must stay inside one equality group / partition"
             )
         self._primary(owning).add_neighbor(identifier, neighbor)
-        self._epoch_clock.tick_fragment(identifier)
+        self._tick((), (identifier,))
 
     def discard_neighbor(self, identifier: FragmentId, neighbor: FragmentId) -> None:
         identifier = tuple(identifier)
         self._owner(identifier).discard_neighbor(identifier, tuple(neighbor))
-        self._epoch_clock.tick_fragment(identifier)
+        self._tick((), (identifier,))
 
     def neighbors(self, identifier: FragmentId) -> Tuple[FragmentId, ...]:
         return self._owner(tuple(identifier)).neighbors(tuple(identifier))
@@ -351,26 +404,33 @@ class ClusterStore(FragmentStore):
 
 
 def populate_from_store(cluster: ClusterStore, source: FragmentStore) -> None:
-    """Replay a built single store into the cluster facade.
+    """Replay a built single store into the cluster's partition primaries.
 
-    Partition-restricted build: every posting, size entry, node and edge
-    routes to its owning partition's primary through the facade's write
-    methods, and the facade clock finally loads the *source* clock's state —
-    so cache stamps taken against the source store stay comparable, exactly
-    like a snapshot restore.  Partition stores keep the clocks their own
-    replayed writes produced; replicas are cut from those afterwards.
+    Partition-restricted build: the source's inverted lists are regrouped
+    into whole fragments (duplicate postings and all), each partition
+    primary takes its share as one :meth:`~repro.store.FragmentStore.bulk_load`
+    and its nodes and edges through the facade, all inside one
+    ``write_batch`` of that primary; the facade clock finally loads the
+    *source* clock's state — so cache stamps taken against the source store
+    stay comparable, exactly like a snapshot restore.  Partition stores keep
+    the clocks their own replayed writes produced; replicas are cut from
+    those afterwards.
     """
-    source.finalize()
-    for identifier in source.fragment_ids():
-        cluster.touch_fragment(identifier)
-    for keyword, postings in source.iter_items():
-        for posting in postings:
-            cluster.add_posting(keyword, posting.document_id, posting.term_frequency)
+    fragments = regroup_posting_lists(source.iter_items(), source.fragment_ids())
+    owned = cluster._group_by_partition(fragments)
+    nodes = cluster._group_by_partition(source.node_ids())
+    for partition in range(cluster.partition_count):
+        primary = cluster._primary(partition)
+        members = nodes.get(partition, ())
+        with primary.write_batch():
+            primary.bulk_load(
+                (identifier, fragments[identifier]) for identifier in owned.get(partition, ())
+            )
+            for identifier in members:
+                cluster.add_node(identifier, source.node_keyword_count(identifier))
+            for identifier in members:
+                for neighbor in source.neighbors(identifier):
+                    cluster.add_neighbor(identifier, neighbor)
     cluster.finalize()
-    for identifier in source.node_ids():
-        cluster.add_node(identifier, source.node_keyword_count(identifier))
-    for identifier in source.node_ids():
-        for neighbor in source.neighbors(identifier):
-            cluster.add_neighbor(identifier, neighbor)
     epoch, keyword_epochs, fragment_epochs = source.epochs.state()
     cluster.load_epochs(epoch, keyword_epochs, fragment_epochs, floor=source.epochs.floor)

@@ -88,37 +88,35 @@ class FragmentGraph:
         comparison per fragment instead of a scan over all existing nodes.
         """
         graph = cls(query, store=store)
-        if not presorted:
-            for identifier in fragment_sizes:
-                graph.add_fragment(identifier, fragment_sizes[identifier])
-            graph._store.finalize()
+        # Graph construction is a bulk load like the index's: one write
+        # batch, so a persistent backend commits the adjacency once.
+        with graph._store.write_batch():
+            if not presorted:
+                for identifier in fragment_sizes:
+                    graph.add_fragment(identifier, fragment_sizes[identifier])
+                return graph
+
+            def group_then_range(identifier: FragmentId):
+                return (
+                    identifier_order(graph._equality_key(identifier)),
+                    identifier_order(graph._range_key(identifier)),
+                )
+
+            identifiers = sorted((tuple(identifier) for identifier in fragment_sizes), key=group_then_range)
+            previous: Optional[FragmentId] = None
+            for identifier in identifiers:
+                if graph._store.has_node(identifier):
+                    raise FragmentGraphError(f"fragment {identifier!r} already in the graph")
+                graph._store.add_node(identifier, fragment_sizes[identifier])
+                if (
+                    graph._range_positions
+                    and previous is not None
+                    and graph._equality_key(previous) == graph._equality_key(identifier)
+                ):
+                    graph._store.add_edge(previous, identifier)
+                graph.comparisons += 1
+                previous = identifier
             return graph
-
-        def group_then_range(identifier: FragmentId):
-            return (
-                identifier_order(graph._equality_key(identifier)),
-                identifier_order(graph._range_key(identifier)),
-            )
-
-        identifiers = sorted((tuple(identifier) for identifier in fragment_sizes), key=group_then_range)
-        previous: Optional[FragmentId] = None
-        for identifier in identifiers:
-            if graph._store.has_node(identifier):
-                raise FragmentGraphError(f"fragment {identifier!r} already in the graph")
-            graph._store.add_node(identifier, fragment_sizes[identifier])
-            if (
-                graph._range_positions
-                and previous is not None
-                and graph._equality_key(previous) == graph._equality_key(identifier)
-            ):
-                graph._store.add_edge(previous, identifier)
-            graph.comparisons += 1
-            previous = identifier
-        # Graph construction is a bulk load like the index's: flush the
-        # store's batched writes so persistent backends commit the adjacency
-        # (and their read paths stop routing through the write connection).
-        graph._store.finalize()
-        return graph
 
     @classmethod
     def build_with_report(

@@ -21,7 +21,18 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 from repro.core.fragments import Fragment, FragmentId
 from repro.store.base import FragmentStore
 from repro.store.memory import InMemoryStore
+from repro.store.mutations import regroup_posting_lists
 from repro.text.inverted_index import Posting
+
+
+def _canonical_pairs(term_frequencies) -> List[Tuple[str, int]]:
+    """A term map (or pair iterable) as lower-cased ``(keyword, occurrences)`` pairs.
+
+    Pairs, not a dict: distinct keys that lower-case to the same keyword
+    must stay separate postings and accumulate into the fragment's size.
+    """
+    items = term_frequencies.items() if hasattr(term_frequencies, "items") else term_frequencies
+    return [(keyword.lower(), occurrences) for keyword, occurrences in items]
 
 
 class InvertedFragmentIndex:
@@ -46,8 +57,10 @@ class InvertedFragmentIndex:
     ) -> "InvertedFragmentIndex":
         """Build the index from fully-derived fragments (reference path)."""
         index = cls(store=store)
-        for identifier, fragment in fragments.items():
-            index.add_fragment(identifier, fragment.term_frequencies)
+        index._store.bulk_load(
+            (tuple(identifier), _canonical_pairs(fragment.term_frequencies))
+            for identifier, fragment in fragments.items()
+        )
         index.finalize()
         return index
 
@@ -61,13 +74,15 @@ class InvertedFragmentIndex:
 
         This is the format both MapReduce crawling workflows leave behind in
         their final output file, which makes this classmethod the crawl→store
-        loading path: pass ``store=`` to land the crawl output directly in the
-        serving backend.
+        loading path: the lists are regrouped into whole fragments and handed
+        to the store as one bulk load — pass ``store=`` to land the crawl
+        output directly in the serving backend.
         """
         index = cls(store=store)
-        for keyword, postings in posting_lists.items():
-            for identifier, occurrences in postings:
-                index._add_occurrences(keyword, tuple(identifier), int(occurrences))
+        fragments = regroup_posting_lists(
+            (keyword.lower(), postings) for keyword, postings in posting_lists.items()
+        )
+        index._store.bulk_load(fragments.items())
         index.finalize()
         return index
 
@@ -76,13 +91,7 @@ class InvertedFragmentIndex:
         identifier = tuple(identifier)
         if self._store.has_fragment(identifier):
             raise ValueError(f"fragment {identifier!r} already indexed")
-        self._store.touch_fragment(identifier)
-        for keyword, occurrences in term_frequencies.items():
-            if occurrences > 0:
-                self._add_occurrences(keyword, identifier, occurrences)
-
-    def _add_occurrences(self, keyword: str, identifier: FragmentId, occurrences: int) -> None:
-        self._store.add_posting(keyword.lower(), identifier, occurrences)
+        self._store.bulk_load([(identifier, _canonical_pairs(term_frequencies))])
 
     def remove_fragment(self, identifier: FragmentId) -> None:
         """Remove every posting of ``identifier`` (no-op when absent)."""
@@ -94,17 +103,7 @@ class InvertedFragmentIndex:
         A single store operation, so on a partitioned cluster the swap
         happens atomically inside the fragment's owning partition.
         """
-        identifier = tuple(identifier)
-        # Pairs, not a dict: distinct keys that lower-case to the same keyword
-        # must accumulate exactly as repeated add_fragment postings would.
-        canonical = [
-            (keyword.lower(), occurrences)
-            for keyword, occurrences in term_frequencies.items()
-            if occurrences > 0
-        ]
-        self._store.replace_fragment(identifier, canonical)
-        if term_frequencies:
-            self._store.touch_fragment(identifier)
+        self._store.replace_fragment(tuple(identifier), _canonical_pairs(term_frequencies))
 
     def apply_mutations(self, batch) -> int:
         """Apply a batch of replace/remove/touch ops as one store operation.
@@ -118,32 +117,22 @@ class InvertedFragmentIndex:
         — and ticks its epoch clock once.  Returns the number of ops applied
         after coalescing.
         """
-        from repro.store.mutations import ReplaceFragment, replace_op
+        from repro.store.mutations import ReplaceFragment
 
-        canonical = []
-        for op in batch:
-            if isinstance(op, ReplaceFragment):
-                items = (
-                    op.term_frequencies.items()
-                    if hasattr(op.term_frequencies, "items")
-                    else op.term_frequencies
-                )
-                # Only the lower-casing is facade business; identifier
-                # coercion and count filtering live in replace_op, and the
-                # store's normalize_mutations re-validates everything else
-                # (including rejecting unknown op types).
-                canonical.append(
-                    replace_op(
-                        op.identifier,
-                        [(keyword.lower(), occurrences) for keyword, occurrences in items],
-                    )
-                )
-            else:
-                canonical.append(op)
-        return self._store.apply_mutations(canonical)
+        # Only the lower-casing is facade business; identifier coercion and
+        # count filtering live in the store's normalize_mutations, which
+        # re-validates everything else (including rejecting unknown op types).
+        return self._store.apply_mutations(
+            [
+                ReplaceFragment(op.identifier, _canonical_pairs(op.term_frequencies))
+                if isinstance(op, ReplaceFragment)
+                else op
+                for op in batch
+            ]
+        )
 
     def finalize(self) -> None:
-        """Sort every inverted list by descending occurrence count."""
+        """Make everything loaded so far readable in canonical order."""
         self._store.finalize()
 
     # ------------------------------------------------------------------

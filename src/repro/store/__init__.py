@@ -6,7 +6,7 @@
   backend (the seed implementation's dictionaries, extracted).
 * :mod:`repro.store.disk` — :class:`DiskStore`, the persistent sqlite3
   backend: the crawl, the graph and the epoch clock survive process exit,
-  and ``replace_fragment`` swaps are crash-safe single transactions.
+  and every ``write_batch`` is one crash-safe transaction.
 * :mod:`repro.store.snapshot` — backend-independent snapshot files
   (:meth:`FragmentStore.snapshot` / :meth:`FragmentStore.from_snapshot`).
 * :mod:`repro.store.epochs` — the :class:`EpochClock` every backend ticks,

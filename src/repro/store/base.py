@@ -23,10 +23,16 @@ Contract notes shared by all backends:
 * :meth:`postings` and :meth:`iter_items` return lists sorted by descending
   occurrence count with ``str(identifier)`` as the tie-break, exactly like the
   conventional inverted file of Section II;
-* :meth:`replace_fragment` removes and re-adds one fragment's postings as a
-  single store operation, which is what makes incremental maintenance
-  (Section VIII) safe on a partitioned cluster: the fragment's postings never
-  straddle two partitions, so the swap happens entirely inside one of them.
+* the postings section is written in **whole fragments**, the two ways the
+  paper writes its index: :meth:`~FragmentStore.bulk_load` takes fragments
+  not yet stored (the crawl, Section V) and
+  :meth:`~FragmentStore.apply_mutations` swaps, removes or registers stored
+  ones (incremental maintenance, Section VIII), with
+  :meth:`~FragmentStore.write_batch` as the one commit scope around either.
+  A fragment's postings never straddle two partitions, so a swap happens
+  entirely inside one of them — which is what makes maintenance safe on a
+  partitioned cluster.  ``touch_fragment`` / ``remove_fragment`` /
+  ``replace_fragment`` are one-op batches, defined once, here.
 """
 
 from __future__ import annotations
@@ -39,13 +45,7 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 
 from repro.core.fragments import FragmentId
 from repro.store.epochs import EpochClock
-from repro.store.mutations import (
-    Mutation,
-    RemoveFragment,
-    ReplaceFragment,
-    TouchFragment,
-    normalize_mutations,
-)
+from repro.store.mutations import Mutation, RemoveFragment, ReplaceFragment, TouchFragment
 from repro.text.inverted_index import Posting
 
 
@@ -178,67 +178,28 @@ class FragmentStore(ABC):
     # ------------------------------------------------------------------
     # postings section — writes
     # ------------------------------------------------------------------
+    # The write core is three calls, native on every backend: bulk_load for
+    # fragments not yet stored, apply_mutations for everything that changes
+    # stored fragments, write_batch as the one commit scope.  The single-
+    # fragment methods below are one-op batches, defined here only.
     @abstractmethod
-    def touch_fragment(self, identifier: FragmentId) -> None:
-        """Register ``identifier`` with size 0 if it is not stored yet."""
-
-    @abstractmethod
-    def add_posting(self, keyword: str, identifier: FragmentId, occurrences: int) -> None:
-        """Append one posting and add ``occurrences`` to the fragment's size."""
-
-    @abstractmethod
-    def remove_fragment(self, identifier: FragmentId) -> None:
-        """Drop the fragment's size entry and every posting of it (no-op when absent)."""
-
-    def replace_fragment(self, identifier: FragmentId, term_frequencies) -> None:
-        """Atomically swap one fragment's postings for ``term_frequencies``.
-
-        Accepts a mapping or an iterable of ``(keyword, occurrences)`` pairs;
-        duplicate keywords in the pair form accumulate (matching repeated
-        :meth:`add_posting` calls) rather than last-wins.
-        """
-        self.remove_fragment(identifier)
-        items = term_frequencies.items() if hasattr(term_frequencies, "items") else term_frequencies
-        for keyword, occurrences in items:
-            if occurrences > 0:
-                self.add_posting(keyword, identifier, occurrences)
-
-    @abstractmethod
-    def finalize(self) -> None:
-        """Sort every inverted list by descending occurrence count."""
-
-    def bulk_load(self, fragments, finalize: bool = True) -> int:
-        """Load whole fragments in one batch (the build pipeline's entry point).
+    def bulk_load(self, fragments) -> int:
+        """Load whole fragments that are **not yet stored**, as one write.
 
         ``fragments`` is an iterable of ``(identifier, term_frequencies)``
-        pairs — canonical identifiers, lower-cased keywords, positive
-        occurrence counts — for fragments **not yet stored**; a fragment with
-        an empty term map is registered at size 0.  The base implementation
-        loops :meth:`touch_fragment`/:meth:`add_posting` and finalizes once;
-        :class:`~repro.store.DiskStore` replaces the loop with batched
-        staged-log inserts so a bulk build never pays the per-posting write
-        path.  ``finalize=False`` lets a caller chain several loads before
-        one :meth:`finalize`.  Returns the number of fragments loaded.
+        pairs — canonical identifiers, lower-cased keywords; a mapping or an
+        iterable of ``(keyword, occurrences)`` pairs, exactly what a
+        :class:`~repro.store.mutations.ReplaceFragment` op carries:
+        non-positive counts are dropped, duplicate keywords accumulate as
+        separate postings, and a fragment with no postings is registered at
+        size 0.  A fragment that is already stored, or listed twice, raises
+        :class:`StoreError` **before anything is written** — postings, sizes
+        and the epoch clock stay untouched.  The clock ticks once per load
+        (once per enclosing :meth:`write_batch` on
+        :class:`~repro.store.DiskStore`).  Returns the number of fragments
+        loaded.
         """
-        count = 0
-        for identifier, term_frequencies in fragments:
-            count += 1
-            self.touch_fragment(identifier)
-            items = (
-                term_frequencies.items()
-                if hasattr(term_frequencies, "items")
-                else term_frequencies
-            )
-            for keyword, occurrences in items:
-                if occurrences > 0:
-                    self.add_posting(keyword, identifier, occurrences)
-        if finalize:
-            self.finalize()
-        return count
 
-    # ------------------------------------------------------------------
-    # postings section — batched writes
-    # ------------------------------------------------------------------
     def write_batch(self):
         """Context manager scoping one atomic write batch.
 
@@ -247,11 +208,14 @@ class FragmentStore(ABC):
         that every write issued inside the scope — including graph-section
         writes — commits as **one** sqlite transaction with the epoch
         write-through for the whole batch in that same transaction, and the
-        clock ticks once after the commit.  Nesting is allowed; only the
-        outermost scope commits.
+        clock ticks once after the commit
+        (:class:`~repro.cluster.ClusterStore` opens one scope per partition
+        primary and ticks its facade clock after them).  Nesting is allowed;
+        only the outermost scope commits.
         """
         return contextlib.nullcontext(self)
 
+    @abstractmethod
     def apply_mutations(self, batch: Sequence[Mutation]) -> int:
         """Apply one batch of replace/remove/touch ops as a single operation.
 
@@ -259,36 +223,43 @@ class FragmentStore(ABC):
         :class:`~repro.store.mutations.RemoveFragment` and
         :class:`~repro.store.mutations.TouchFragment` ops (see
         :mod:`repro.store.mutations`); repeated ops on one fragment coalesce
-        before anything is written.  Returns the number of ops actually
-        applied after coalescing.
-
-        This is the write path's throughput primitive: the base
-        implementation brackets a per-op loop in :meth:`write_batch` and
-        finalizes once at the end, and the concrete backends replace the
-        loop with their native bulk form — a single locked dictionary pass
-        (:class:`~repro.store.InMemoryStore`) or one crash-safe transaction
-        (:class:`~repro.store.DiskStore`).  Every backend leaves the
-        inverted lists canonical (sorted); the shipped backends additionally
-        tick the epoch clock exactly once for the whole batch (the base
-        per-op loop inherits each op's own ticks, which over-counts epochs
-        but never under-invalidates).
+        (:func:`~repro.store.mutations.normalize_mutations`) before anything
+        is written.  Every backend applies the batch in its native bulk form
+        — a single locked dictionary pass
+        (:class:`~repro.store.InMemoryStore`), one crash-safe transaction
+        (:class:`~repro.store.DiskStore`), one sub-batch per owning
+        partition (:class:`~repro.cluster.ClusterStore`) — leaves the
+        inverted lists canonical, and ticks the epoch clock exactly once for
+        the whole batch.  Returns the number of ops applied after
+        coalescing.
         """
-        ops = normalize_mutations(batch)
-        if not ops:
-            return 0
-        with self.write_batch():
-            for op in ops:
-                if isinstance(op, ReplaceFragment):
-                    self.replace_fragment(op.identifier, op.term_frequencies)
-                    # A replace op registers its fragment even when the new
-                    # posting set is empty (see repro.store.mutations).
-                    self.touch_fragment(op.identifier)
-                elif isinstance(op, RemoveFragment):
-                    self.remove_fragment(op.identifier)
-                else:
-                    self.touch_fragment(op.identifier)
-        self.finalize()
-        return len(ops)
+
+    def touch_fragment(self, identifier: FragmentId) -> None:
+        """Register ``identifier`` with size 0 if it is not stored yet."""
+        self.apply_mutations([TouchFragment(identifier)])
+
+    def remove_fragment(self, identifier: FragmentId) -> None:
+        """Drop the fragment's size entry and every posting of it (no-op when absent)."""
+        self.apply_mutations([RemoveFragment(identifier)])
+
+    def replace_fragment(self, identifier: FragmentId, term_frequencies) -> None:
+        """Atomically swap one fragment's postings for ``term_frequencies``.
+
+        Accepts a mapping or an iterable of ``(keyword, occurrences)`` pairs;
+        duplicate keywords in the pair form accumulate as separate postings
+        rather than last-wins.  The fragment is registered even when the new
+        posting set is empty.
+        """
+        self.apply_mutations([ReplaceFragment(identifier, term_frequencies)])
+
+    def finalize(self) -> None:
+        """Make pending loads readable in canonical order.
+
+        A no-op here: :class:`~repro.store.InMemoryStore` sorts the lists a
+        :meth:`bulk_load` appended to (lazily, on the first read as well),
+        and :class:`~repro.store.DiskStore` compacts and commits at
+        :meth:`write_batch` exit.
+        """
 
     # ------------------------------------------------------------------
     # postings section — reads

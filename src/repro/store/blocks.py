@@ -10,18 +10,14 @@ global document frequencies and admissible per-partition score bounds (see
 :func:`repro.cluster.stats.partition_bounds`) without decoding a posting; the
 top-k searcher itself reads whole lists.
 
-Two properties are load-bearing:
-
-* **Determinism** — blocks are a pure function of the keyword's current
-  sorted posting list and the current fragment sizes.  Every backend builds
-  its summaries through :func:`build_summaries` over the same entries and the
-  same integer sizes, so the floats (and therefore the partition bounds)
-  are identical on the memory and disk backends.
-* **Admissibility under staleness** — a summary's ``max_weight`` may only
-  ever be *stale-high* (a fragment's size can grow through ``add_posting``
-  without its other keywords' stored blocks being rebuilt until the next
-  compaction; sizes never shrink in place).  A stale-high maximum loosens
-  the derived bound but never under-caps a score, so exactness survives.
+One property is load-bearing: **determinism** — blocks are a pure function
+of the keyword's current sorted posting list and the current fragment sizes.
+Every backend builds its summaries through :func:`build_summaries` over the
+same entries and the same integer sizes, so the floats (and therefore the
+partition bounds) are identical on the memory and disk backends.  Fragments
+are only ever written whole, so a fragment's size never changes under a
+stored summary: every write that changes it rebuilds the blocks of all the
+fragment's keywords before readers can see it.
 
 The module also holds the delta+varint codec :class:`~repro.store.DiskStore`
 uses to store each block as a single BLOB (descending occurrence counts
@@ -56,9 +52,8 @@ class KeywordBlocks:
     ``summaries[i]`` describes block ``i`` (blocks partition the sorted list
     in order: block ``i`` holds postings ``i*BLOCK_SIZE`` through
     ``(i+1)*BLOCK_SIZE - 1``).  ``decode(i)`` materializes block ``i``'s
-    postings — a tuple slice for the in-memory backends, one BLOB read for
-    the disk backend.  The handle pins whatever state its decoder needs, so
-    a search decodes against the same list its summaries were derived from.
+    postings — a slice of the keyword's sorted list (pinned by the
+    in-memory handle, the epoch-validated ``postings()`` on disk).
     """
 
     __slots__ = ("keyword", "summaries", "posting_count", "_decoder")

@@ -12,30 +12,21 @@ against mutations applied after it.
 Consistency model
 -----------------
 
-* **Bulk loads batch, maintenance commits.**  Crawl-time writes
-  (``add_posting`` streams of ``InvertedFragmentIndex``) accumulate in one
-  open sqlite transaction and are flushed by :meth:`finalize` (and by every
-  explicit commit point), which keeps loading fast; losing an in-flight
-  crawl to a crash just means re-crawling.
-* **``replace_fragment`` is one transaction per swap.**  Incremental
-  maintenance must never leave a fragment half-replaced on disk: the swap
-  (postings delete + re-insert, size update, epoch write-through) commits
-  as a single sqlite transaction, so after a crash the file holds either
-  the old fragment or the new one — never a mix.  ``remove_fragment``
-  commits the same way.  Crash-safety is sqlite's journal: the database
-  runs in WAL mode with ``synchronous=NORMAL``.
-* **A mutation batch is one transaction.**  :meth:`DiskStore.write_batch`
-  (which backs :meth:`~repro.store.FragmentStore.apply_mutations` and the
-  maintainer's whole refresh round, graph updates included) stages every
-  write inside the scope and commits once: a crash loses the whole batch,
-  never half, and a WAL reader — in this process or another — sees the
-  batch exactly at its commit boundary.  The epoch write-through for
-  everything the batch touched lands in that same transaction, and the
-  in-memory clock ticks once, after the commit.
-* **The clock is write-through.**  Every tick lands in the ``meta`` /
-  ``keyword_epochs`` / ``fragment_epochs`` tables inside the same
-  transaction as the data write it stamps, and is restored into the
-  in-memory clock on open — reads stay dict-fast, restarts stay exact.
+There is one write protocol: **every write runs inside a**
+:meth:`DiskStore.write_batch` **scope, and the scope's exit is the only
+commit.**  A bare write call (``bulk_load``, ``apply_mutations``, a
+graph-section write) opens a scope of its own; loops that issue many —
+the crawl load, graph construction, snapshot restore, a maintenance round
+with its graph updates — open one around themselves.  Everything staged
+inside a scope commits as a single sqlite transaction (WAL mode,
+``synchronous=NORMAL``): a crash or a raise loses the whole batch, never
+half, so a fragment is never half-replaced on disk, and a WAL reader — in
+this process or another — sees the batch exactly at its commit boundary.
+The clock is write-through: the epoch rows for everything the batch touched
+land in ``meta`` / ``keyword_epochs`` / ``fragment_epochs`` inside that same
+transaction, the in-memory clock ticks once, after the commit, and the
+persisted state is restored into it on open — reads stay dict-fast, restarts
+stay exact.  Between scopes the write connection holds no open transaction.
 
 Single-writer multi-process serving
 -----------------------------------
@@ -66,16 +57,14 @@ summary alongside as plain columns so a document-frequency or weight-ceiling
 read touches only the tiny directory.  A per-fragment varint
 forward index (``fragment_terms``) replaces the old ``fragment`` column
 scans.  Mutations never rewrite blocks in place: they append to a
-``staged_postings`` log (plus a ``pending_removals`` set), and **every
-commit point compacts first** — the affected keywords' blocks are rebuilt
+``staged_postings`` log (plus a ``pending_removals`` set), and **the
+commit compacts first** — the affected keywords' blocks are rebuilt
 from stored-minus-removed plus staged under the canonical sort, inside the
 same transaction.  A *committed* file therefore always has an empty staged
 log and fully fresh block summaries: pooled readers decode blocks without
 ever merging, and the stored ``max_weight`` values are bit-identical to
 what the in-memory backends compute fresh (cross-backend partition bounds
-stay equal).  Between commits a stale summary can only be stale-*high*
-(sizes grow monotonically within a transaction), which loosens bounds but
-never breaks exactness.  A file stamped with any other schema version is
+stay equal).  A file stamped with any other schema version is
 refused with a :class:`~repro.store.StoreError` on open.
 
 Thread-safety and the read-connection pool
@@ -90,13 +79,11 @@ and keeps it for the thread's life, so concurrent serving-layer readers —
 their SQL genuinely in parallel under WAL instead of convoying behind one
 lock.  ``close()`` closes the write connection *and* every pooled reader.
 
-Two read paths fall back to the locked write connection on purpose:
-
-* while a bulk load's batched transaction is open (``finalize()`` not yet
-  called), readers must see the staged rows, which only the writing
-  connection can — ``_read_connection`` detects the open transaction;
-* a store that never sees a second thread only ever creates the one
-  pooled reader, so the single-threaded cost is one extra ``connect``.
+One read path falls back to the locked write connection on purpose: the
+thread that owns the open ``write_batch`` must see the rows it staged, which
+only the writing connection can.  (A store that never sees a second thread
+only ever creates the one pooled reader, so the single-threaded cost is one
+extra ``connect``.)
 
 Hot reads are additionally cached in memory with epoch validation:
 keyword -> postings and fragment -> size entries are stamped with the
@@ -118,6 +105,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 from repro.core.fragments import FragmentId
 from repro.store.base import FragmentStore, StoreError
 from repro.store.blocks import (
+    BLOCK_SIZE,
     BlockSummary,
     KeywordBlocks,
     build_summaries,
@@ -125,6 +113,14 @@ from repro.store.blocks import (
     decode_uvarint,
     encode_block,
     encode_uvarint,
+)
+from repro.store.mutations import (
+    RemoveFragment,
+    ReplaceFragment,
+    TouchFragment,
+    normalize_mutations,
+    replace_op,
+    term_vector,
 )
 from repro.text.inverted_index import Posting
 
@@ -222,18 +218,14 @@ def decode_identifier(encoded: str) -> FragmentId:
     return tuple(json.loads(encoded))
 
 
-def encode_fragment_terms(items) -> bytes:
-    """One fragment's term vector as an *appendable* varint BLOB.
+def encode_fragment_terms(vector: Mapping[str, int]) -> bytes:
+    """One fragment's term vector as a varint BLOB.
 
-    Each ``(keyword, occurrences)`` pair is ``varint(len) + utf-8 +
-    varint(occurrences)`` with no count header, so ``add_posting`` extends a
-    stored vector by concatenating one encoded pair instead of re-encoding
-    the whole row.  Duplicate keywords may therefore appear; decoders take
-    the maximum per keyword (the same winner ``ORDER BY occurrences DESC``
-    picked in the v1 row layout).
+    Each ``keyword -> occurrences`` entry is ``varint(len) + utf-8 +
+    varint(occurrences)``, in the mapping's order, with no count header.
     """
     out = bytearray()
-    for keyword, occurrences in items:
+    for keyword, occurrences in vector.items():
         raw = keyword.encode("utf-8")
         encode_uvarint(len(raw), out)
         out += raw
@@ -241,10 +233,9 @@ def encode_fragment_terms(items) -> bytes:
     return bytes(out)
 
 
-def decode_fragment_terms(blob: bytes) -> List[Tuple[str, int]]:
-    """The ``(keyword, occurrences)`` pairs of one ``fragment_terms`` BLOB,
-    duplicates preserved in append order."""
-    pairs: List[Tuple[str, int]] = []
+def decode_fragment_terms(blob: bytes) -> Dict[str, int]:
+    """The ``keyword -> occurrences`` vector of one ``fragment_terms`` BLOB."""
+    vector: Dict[str, int] = {}
     position = 0
     end = len(blob)
     while position < end:
@@ -254,8 +245,8 @@ def decode_fragment_terms(blob: bytes) -> List[Tuple[str, int]]:
             raise ValueError("truncated fragment term keyword")
         position += length
         occurrences, position = decode_uvarint(blob, position)
-        pairs.append((raw.decode("utf-8"), occurrences))
-    return pairs
+        vector[raw.decode("utf-8")] = occurrences
+    return vector
 
 
 class DiskStore(FragmentStore):
@@ -321,10 +312,10 @@ class DiskStore(FragmentStore):
         self._batch_keywords: Set[str] = set()
         self._batch_fragments: Dict[str, FragmentId] = {}
         # Keywords whose posting_blocks rows are stale relative to the
-        # staged log / current sizes; _compact() rebuilds exactly these
-        # before any commit.  In-memory only on purpose: a crash discards
-        # the uncommitted staged rows wholesale, and a rollback that
-        # resurrects staged rows re-marks the set (_restage_dirty).
+        # open batch's staged log; _compact() rebuilds exactly these before
+        # the commit.  In-memory only on purpose: a crash or a rollback
+        # discards the uncommitted staged rows wholesale, back to the last
+        # commit's fully compacted file.
         self._dirty_keywords: Set[str] = set()
         # Highest persisted meta epoch whose commits the loaded clock views
         # are known to cover (see refresh_epochs).
@@ -352,15 +343,12 @@ class DiskStore(FragmentStore):
             self._postings_cache: Dict[str, Tuple[int, Tuple[Posting, ...]]] = {}
             self._sizes_cache: Dict[FragmentId, Tuple[int, int]] = {}
             self._neighbors_cache: Dict[FragmentId, Tuple[int, Tuple[FragmentId, ...]]] = {}
-            # Block-layout caches.  Directory handles and decoded blocks are
-            # validated against the *store-wide* epoch, not the keyword
-            # epoch: a fragment-size change stales a block's max_weight
-            # without ticking the keyword, and the store epoch is the one
-            # stamp that moves on every mutation (same rule the in-memory
-            # backends apply to their block directories).
+            # Block directories are validated against the *store-wide*
+            # epoch, not the keyword epoch: a fragment-size change stales a
+            # block's max_weight without ticking the keyword, and the store
+            # epoch is the one stamp that moves on every mutation (same rule
+            # the in-memory backends apply to their block directories).
             self._blocks_cache: Dict[str, Tuple[int, KeywordBlocks]] = {}
-            self._block_cache: Dict[str, Tuple[int, Dict[int, Tuple[Posting, ...]]]] = {}
-            self._terms_cache: Dict[FragmentId, Tuple[int, Dict[str, int]]] = {}
             self._restore_clock()
         except BaseException:
             # A failed open (schema mismatch, corrupt file) must not leave the
@@ -557,11 +545,12 @@ class DiskStore(FragmentStore):
         return True
 
     def close(self) -> None:
-        """Flush pending writes and close every sqlite connection.
+        """Close every sqlite connection.
 
         Closes the write connection *and* all pooled read connections (no
-        file descriptor outlives the store).  Idempotent; reads after
-        ``close()`` raise :class:`sqlite3.ProgrammingError`.
+        file descriptor outlives the store).  Nothing is pending outside a
+        :meth:`write_batch` scope, so there is nothing to flush.  Idempotent;
+        reads after ``close()`` raise :class:`sqlite3.ProgrammingError`.
         """
         with self._pool_lock:
             already_closed = self._closed
@@ -571,8 +560,6 @@ class DiskStore(FragmentStore):
             connection.close()
         if not already_closed:
             with self._lock:
-                if not self.read_only:
-                    self._flush_staged()
                 self._connection.close()
             self._release_writer_lock()
 
@@ -594,34 +581,26 @@ class DiskStore(FragmentStore):
                 + len(self._sizes_cache)
                 + len(self._neighbors_cache)
                 + len(self._blocks_cache)
-                + len(self._block_cache)
-                + len(self._terms_cache)
             )
             self._postings_cache = {}
             self._sizes_cache = {}
             self._neighbors_cache = {}
             self._blocks_cache = {}
-            self._block_cache = {}
-            self._terms_cache = {}
         return dropped
 
     def _read_connection(self) -> Optional[sqlite3.Connection]:
         """This thread's pooled read-only connection.
 
-        ``None`` while the write connection has an open transaction — a bulk
-        load's staged rows are only visible to the connection that wrote
-        them, so such reads must go through the write connection (locked).
-        The exception is an open *atomic batch* (see :meth:`write_batch`):
-        its staged rows must stay invisible until the batch commits, so
-        batch-window reads from other threads keep using the pooled snapshot
-        connections — a racing reader sees the complete pre-batch state,
-        never a torn one.  The batch-owning thread itself reads through the
-        write connection: its own maintenance logic (graph surgery over
-        fragments the batch already removed) depends on the staged rows.
+        ``None`` for the thread that owns the open :meth:`write_batch`: its
+        staged rows are only visible to the connection that wrote them, and
+        its own maintenance logic (graph surgery over fragments the batch
+        already removed) depends on them, so the owner reads through the
+        write connection (locked).  Every other thread keeps using its
+        pooled snapshot connection while a batch is open — the staged rows
+        must stay invisible until the batch commits, so a racing reader sees
+        the complete pre-batch state, never a torn one.
         """
-        if self._connection.in_transaction and (
-            not self._batch_depth or self._in_owned_batch()
-        ):
+        if self._in_owned_batch():
             return None
         connection = getattr(self._thread_reader, "connection", None)
         if connection is None:
@@ -681,8 +660,8 @@ class DiskStore(FragmentStore):
                 raise
 
     def _execute_read(self, sql: str, parameters: Tuple = ()) -> List[Tuple]:
-        """Run one SELECT on this thread's pooled reader (or, while a bulk
-        load is staged, on the locked write connection) and fetch all rows."""
+        """Run one SELECT on this thread's pooled reader (or, for the owner
+        of the open batch, on the locked write connection) and fetch all rows."""
         connection = self._read_connection()
         if connection is None:
             with self._lock:
@@ -711,18 +690,6 @@ class DiskStore(FragmentStore):
             (str(self._epoch_clock.epoch),),
         )
 
-    def _persist_keyword_epoch(self, keyword: str) -> None:
-        self._connection.execute(
-            "INSERT OR REPLACE INTO keyword_epochs (keyword, epoch) VALUES (?, ?)",
-            (keyword, self._epoch_clock.keyword_epoch(keyword)),
-        )
-
-    def _persist_fragment_epoch(self, encoded: str, identifier: FragmentId) -> None:
-        self._connection.execute(
-            "INSERT OR REPLACE INTO fragment_epochs (fragment, epoch) VALUES (?, ?)",
-            (encoded, self._epoch_clock.fragment_epoch(identifier)),
-        )
-
     def _in_owned_batch(self) -> bool:
         """Whether the calling thread owns the currently-open write batch.
 
@@ -733,57 +700,16 @@ class DiskStore(FragmentStore):
         """
         return bool(self._batch_depth) and self._batch_owner is threading.current_thread()
 
-    # Every write method stamps its mutation through these three helpers.
-    # Outside a batch they tick the clock and write the epoch rows
-    # immediately (one transaction per mutation, the pre-overhaul regime);
-    # inside an open write_batch they only *record* what was touched — the
-    # batch writes one predicted epoch for everything at commit and ticks
-    # the in-memory clock once, after the commit, so a racing reader can
-    # never cache pre-batch data under a post-batch stamp.
-    def _tick_posting_write(self, keyword: str, encoded: str, identifier: FragmentId) -> None:
-        if self._batch_depth:
-            self._batch_keywords.add(keyword)
-            self._batch_fragments[encoded] = identifier
-            return
-        self._epoch_clock.tick_posting(keyword, identifier)
-        self._persist_epoch()
-        self._persist_keyword_epoch(keyword)
-        self._persist_fragment_epoch(encoded, identifier)
-
-    def _tick_fragment_write(self, encoded: str, identifier: FragmentId) -> None:
-        if self._batch_depth:
-            self._batch_fragments[encoded] = identifier
-            return
-        self._epoch_clock.tick_fragment(identifier)
-        self._persist_epoch()
-        self._persist_fragment_epoch(encoded, identifier)
-
-    def _tick_removal_write(
-        self, encoded: str, identifier: FragmentId, keywords: List[str]
-    ) -> None:
-        if self._batch_depth:
-            self._batch_keywords.update(keywords)
-            self._batch_fragments[encoded] = identifier
-            return
-        self._epoch_clock.tick_removal(identifier, keywords)
-        self._persist_epoch()
-        for keyword in keywords:
-            self._persist_keyword_epoch(keyword)
-        self._persist_fragment_epoch(encoded, identifier)
-
-    def _mark_dirty(self, keyword: str) -> None:
-        self._dirty_keywords.add(keyword)
-
     def _compact(self) -> None:
         """Fold the staged write log into the block tables (no commit).
 
-        Every commit site runs this first, so a *committed* file is always
-        fully block-compacted: ``staged_postings`` and ``pending_removals``
-        are empty on disk after any commit, pooled readers decode blocks
-        without merging, and every stored per-block ``max_weight`` reflects
-        the fragment sizes as of the commit — bit-identical to the
-        in-memory backends' fresh computation, which keeps partition bounds
-        equal across backends.
+        :meth:`write_batch` runs this before its commit, so a *committed*
+        file is always fully block-compacted: ``staged_postings`` and
+        ``pending_removals`` are empty on disk after any commit, pooled
+        readers decode blocks without merging, and every stored per-block
+        ``max_weight`` reflects the fragment sizes as of the commit —
+        bit-identical to the in-memory backends' fresh computation, which
+        keeps partition bounds equal across backends.
         """
         if not self._dirty_keywords:
             return
@@ -845,48 +771,18 @@ class DiskStore(FragmentStore):
         connection.execute("DELETE FROM staged_postings")
         connection.execute("DELETE FROM pending_removals")
         self._dirty_keywords = set()
-        with self._cache_lock:
-            for keyword in dirty:
-                self._postings_cache.pop(keyword, None)
-                self._blocks_cache.pop(keyword, None)
-                self._block_cache.pop(keyword, None)
-
-    def _flush_staged(self) -> None:
-        """Compact and commit — the generic "flush whatever is pending" point."""
-        self._compact()
-        self._connection.commit()
-
-    def _restage_dirty(self) -> None:
-        """Re-mark dirt after a rollback resurrected staged rows.
-
-        A rollback that lands *after* :meth:`_compact` cleared the dirty set
-        restores the staged log on disk while the set says "nothing to do";
-        the next commit would then persist an uncompacted file.  Re-deriving
-        the marks from the restored log closes that hole (for removals the
-        touched keywords are no longer cheap to know, so every stored
-        keyword is conservatively re-marked — rollbacks are rare).
-        """
-        for (keyword,) in self._connection.execute(
-            "SELECT DISTINCT keyword FROM staged_postings"
-        ):
-            self._dirty_keywords.add(keyword)
-        if self._connection.execute("SELECT 1 FROM pending_removals LIMIT 1").fetchone():
-            for (keyword,) in self._connection.execute(
-                "SELECT DISTINCT keyword FROM posting_blocks"
-            ):
-                self._dirty_keywords.add(keyword)
 
     @contextlib.contextmanager
     def write_batch(self):
         """One crash-safe transaction for every write issued inside the scope.
 
-        This is the disk backend's native form of
-        :meth:`~repro.store.FragmentStore.apply_mutations` — and of any
-        larger maintenance round that must land atomically (postings batch
-        plus the graph updates belonging to it):
+        The store's only commit protocol: every write method — postings,
+        graph section and the build pipeline's loaders alike — runs inside a
+        scope, and a bare call opens its own.
 
         * data writes stage on the write connection and **commit once**, at
-          scope exit; a crash loses the whole batch, never half of it;
+          scope exit, compacted first (:meth:`_compact`); a crash loses the
+          whole batch, never half of it;
         * the epoch write-through for everything the batch touched lands in
           that same transaction (one predicted epoch for the batch);
         * the in-memory clock ticks once, *after* the commit — in-process
@@ -896,8 +792,8 @@ class DiskStore(FragmentStore):
 
         Nested scopes are allowed (``apply_mutations`` inside a maintenance
         round); only the outermost commits.  Raising out of the scope rolls
-        the entire batch back — the deferred tick means the in-memory clock
-        never saw it either.
+        the entire batch back to the last commit — the deferred tick means
+        the in-memory clock never saw it either.
         """
         self._assert_writable()
         with self._lock:
@@ -908,23 +804,14 @@ class DiskStore(FragmentStore):
                 finally:
                     self._batch_depth -= 1
                 return
-            # Keep an open bulk load's writes out of the batch's transaction
-            # (same rule as the per-fragment swap paths) — compacted first,
-            # so the commit preserves the blocks-always-fresh invariant.
-            self._flush_staged()
             self._batch_depth = 1
             self._batch_owner = threading.current_thread()
-            self._batch_keywords = set()
-            self._batch_fragments = {}
             keywords: Set[str] = set()
             fragments: Dict[str, FragmentId] = {}
             try:
                 yield self
                 keywords = self._batch_keywords
                 fragments = self._batch_fragments
-                # Fold the batch's staged writes into the block tables inside
-                # the batch's own transaction: the commit below publishes
-                # compacted blocks, never a staged log.
                 self._compact()
                 if keywords or fragments:
                     predicted = self._epoch_clock.epoch + 1
@@ -932,20 +819,24 @@ class DiskStore(FragmentStore):
                         "INSERT OR REPLACE INTO meta (key, value) VALUES ('epoch', ?)",
                         (str(predicted),),
                     )
+                    # Upserts, not INSERT OR REPLACE: a re-stamped row is
+                    # updated in place instead of moving to a fresh rowid and
+                    # leaving its old page on the freelist.
                     self._connection.executemany(
-                        "INSERT OR REPLACE INTO keyword_epochs (keyword, epoch) "
-                        "VALUES (?, ?)",
+                        "INSERT INTO keyword_epochs (keyword, epoch) VALUES (?, ?) "
+                        "ON CONFLICT (keyword) DO UPDATE SET epoch = excluded.epoch",
                         [(keyword, predicted) for keyword in keywords],
                     )
                     self._connection.executemany(
-                        "INSERT OR REPLACE INTO fragment_epochs (fragment, epoch) "
-                        "VALUES (?, ?)",
+                        "INSERT INTO fragment_epochs (fragment, epoch) VALUES (?, ?) "
+                        "ON CONFLICT (fragment) DO UPDATE SET epoch = excluded.epoch",
                         [(encoded, predicted) for encoded in fragments],
                     )
                 self._connection.commit()
             except BaseException:
+                # Back to the last commit: a compacted file, nothing staged.
                 self._connection.rollback()
-                self._restage_dirty()
+                self._dirty_keywords = set()
                 raise
             finally:
                 self._batch_depth = 0
@@ -954,17 +845,17 @@ class DiskStore(FragmentStore):
                 self._batch_fragments = {}
             if keywords or fragments:
                 # The batch's commit point for in-process consumers: one
-                # epoch for everything it touched.
+                # epoch for everything it touched.  The tick alone retires
+                # the read caches' entries (they are epoch-validated); the
+                # evictions just free them early.
                 self._epoch_clock.tick_batch(keywords, fragments.values())
                 with self._cache_lock:
                     for keyword in keywords:
                         self._postings_cache.pop(keyword, None)
                         self._blocks_cache.pop(keyword, None)
-                        self._block_cache.pop(keyword, None)
                     for identifier in fragments.values():
                         self._sizes_cache.pop(identifier, None)
                         self._neighbors_cache.pop(identifier, None)
-                        self._terms_cache.pop(identifier, None)
 
     def load_epochs(
         self,
@@ -977,7 +868,6 @@ class DiskStore(FragmentStore):
         self._assert_writable()
         self._epoch_clock.load(epoch, keyword_epochs, fragment_epochs, floor=floor)
         with self._lock:
-            self._flush_staged()
             try:
                 self._connection.execute("DELETE FROM keyword_epochs")
                 self._connection.execute("DELETE FROM fragment_epochs")
@@ -1014,7 +904,6 @@ class DiskStore(FragmentStore):
         bound = self._effective_sweep_bound(oldest_live_stamp)
         pruned = self._epoch_clock.sweep(bound)
         with self._lock:
-            self._flush_staged()
             try:
                 self._connection.execute(
                     "DELETE FROM keyword_epochs WHERE epoch <= ?", (bound,)
@@ -1035,311 +924,118 @@ class DiskStore(FragmentStore):
     # ------------------------------------------------------------------
     # postings section — writes
     # ------------------------------------------------------------------
-    def touch_fragment(self, identifier: FragmentId) -> None:
-        self._assert_writable()
-        encoded = encode_identifier(identifier)
-        with self._lock:
-            cursor = self._connection.execute(
-                "INSERT OR IGNORE INTO fragments (id, size) VALUES (?, 0)", (encoded,)
-            )
-            new = cursor.rowcount > 0
-            if new:
-                self._tick_fragment_write(encoded, identifier)
-
-    def add_posting(self, keyword: str, identifier: FragmentId, occurrences: int) -> None:
-        self._assert_writable()
-        encoded = encode_identifier(identifier)
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT terms FROM fragment_terms WHERE fragment = ?", (encoded,)
-            ).fetchone()
-            with self._cache_lock:
-                self._postings_cache.pop(keyword, None)
-                self._blocks_cache.pop(keyword, None)
-                self._block_cache.pop(keyword, None)
-                self._sizes_cache.pop(identifier, None)
-                self._terms_cache.pop(identifier, None)
-            self._mark_dirty(keyword)
-            if row is not None:
-                # The fragment grows, so the stored max_weight of every
-                # *other* keyword mentioning it goes stale (stale-high —
-                # still admissible, but the next compaction must refresh it
-                # to keep the summaries bit-identical across backends).
-                for other, _occurrences in decode_fragment_terms(row[0]):
-                    self._mark_dirty(other)
-            self._connection.execute(
-                "INSERT INTO staged_postings (keyword, fragment, tie, occurrences) "
-                "VALUES (?, ?, ?, ?)",
-                (keyword, encoded, str(tuple(identifier)), occurrences),
-            )
-            self._connection.execute(
-                "INSERT INTO fragments (id, size) VALUES (?, ?) "
-                "ON CONFLICT (id) DO UPDATE SET size = size + excluded.size",
-                (encoded, occurrences),
-            )
-            addition = encode_fragment_terms([(keyword, occurrences)])
-            existing = bytes(row[0]) if row is not None else b""
-            self._connection.execute(
-                "INSERT INTO fragment_terms (fragment, terms) VALUES (?, ?) "
-                "ON CONFLICT (fragment) DO UPDATE SET terms = excluded.terms",
-                (encoded, existing + addition),
-            )
-            # Tick after the data writes: the tick is the commit point the
-            # serving layer revalidates against (see repro.store.epochs).
-            self._tick_posting_write(keyword, encoded, identifier)
-
-    def _fragment_keywords(self, encoded: str) -> List[str]:
-        row = self._connection.execute(
+    # Nothing here rewrites a posting block in place: new postings append to
+    # the ``staged_postings`` log, removed fragments join
+    # ``pending_removals``, the touched keywords join the dirty set, and the
+    # enclosing write_batch compacts before it commits.  What a write
+    # touched is recorded in the batch sets, whose single deferred tick is
+    # the batch's in-process commit point.
+    def _delete_fragment_rows(self, encoded: str, identifier: FragmentId) -> None:
+        """Stage one stored fragment's removal (a no-op when it is unknown)."""
+        connection = self._connection
+        if not connection.execute("DELETE FROM fragments WHERE id = ?", (encoded,)).rowcount:
+            return
+        row = connection.execute(
             "SELECT terms FROM fragment_terms WHERE fragment = ?", (encoded,)
         ).fetchone()
-        if row is None:
-            return []
-        return list(dict.fromkeys(keyword for keyword, _occurrences in decode_fragment_terms(row[0])))
-
-    def _delete_fragment_rows(self, encoded: str) -> List[str]:
-        """Stage one fragment's removal; returns the touched keywords.
-
-        Block rows are not rewritten here — the fragment joins
-        ``pending_removals`` and its keywords the dirty set, and the next
-        commit's compaction drops its entries from every affected block.
-        """
-        keywords = self._fragment_keywords(encoded)
-        self._connection.execute(
+        keywords = decode_fragment_terms(row[0]) if row is not None else ()
+        connection.execute(
             "INSERT OR IGNORE INTO pending_removals (fragment) VALUES (?)", (encoded,)
         )
-        self._connection.execute("DELETE FROM staged_postings WHERE fragment = ?", (encoded,))
-        self._connection.execute("DELETE FROM fragment_terms WHERE fragment = ?", (encoded,))
-        self._connection.execute("DELETE FROM fragments WHERE id = ?", (encoded,))
-        for keyword in keywords:
-            self._mark_dirty(keyword)
-        with self._cache_lock:
-            for keyword in keywords:
-                self._postings_cache.pop(keyword, None)
-                self._blocks_cache.pop(keyword, None)
-                self._block_cache.pop(keyword, None)
-            self._sizes_cache.pop(self._decode(encoded), None)
-            self._terms_cache.pop(self._decode(encoded), None)
-        return keywords
+        connection.execute("DELETE FROM staged_postings WHERE fragment = ?", (encoded,))
+        connection.execute("DELETE FROM fragment_terms WHERE fragment = ?", (encoded,))
+        self._dirty_keywords.update(keywords)
+        self._batch_keywords.update(keywords)
+        self._batch_fragments[encoded] = identifier
 
-    def remove_fragment(self, identifier: FragmentId) -> None:
-        self._assert_writable()
-        encoded = encode_identifier(identifier)
-        with self._lock:
-            known = self._connection.execute(
-                "SELECT 1 FROM fragments WHERE id = ?", (encoded,)
-            ).fetchone()
-            if known is None:
-                return
-            if self._batch_depth:
-                # Inside an atomic batch the enclosing write_batch owns the
-                # transaction (and the single deferred tick).
-                keywords = self._delete_fragment_rows(encoded)
-                self._tick_removal_write(encoded, identifier, keywords)
-                return
-            self._flush_staged()  # keep unrelated batched writes out of this txn
-            try:
-                keywords = self._delete_fragment_rows(encoded)
-                self._tick_removal_write(encoded, identifier, keywords)
-                self._compact()
-                self._connection.commit()
-            except BaseException:
-                self._connection.rollback()
-                self._restage_dirty()
-                raise
+    def _insert_fragment_rows(self, fragments) -> None:
+        """Stage whole fragments that hold no rows (new, or just deleted).
 
-    def _replace_fragment_rows(self, encoded: str, identifier: FragmentId, items) -> None:
-        """The swap's data writes + tick bookkeeping (transaction-agnostic).
-
-        In batch mode the ticks only accumulate in the batch sets; outside a
-        batch the clock ticks per mutation and the epoch rows are written
-        with the same statement economy the pre-batch implementation had
-        (each keyword once, the store epoch and fragment epoch once).
+        ``fragments`` yields ``(encoded, identifier, pairs)`` with canonical
+        ``(keyword, occurrences)`` pairs; every fragment gets its size row —
+        also at size 0 — and its term vector, every pair a staged posting.
         """
-        in_batch = bool(self._batch_depth)
-        known = self._connection.execute(
-            "SELECT 1 FROM fragments WHERE id = ?", (encoded,)
-        ).fetchone()
-        if known is not None:
-            outgoing = self._delete_fragment_rows(encoded)
-            if in_batch:
-                self._tick_removal_write(encoded, identifier, outgoing)
-            else:
-                self._epoch_clock.tick_removal(identifier, outgoing)
-                for keyword in outgoing:
-                    self._persist_keyword_epoch(keyword)
-        tie = str(tuple(identifier))
-        kept = [(keyword, occurrences) for keyword, occurrences in items if occurrences > 0]
-        # One cache-lock acquisition for the whole swap's evictions —
-        # pooled readers contend on this lock for every lookup.
-        with self._cache_lock:
-            self._sizes_cache.pop(identifier, None)
-            self._terms_cache.pop(identifier, None)
-            for keyword, _occurrences in kept:
-                self._postings_cache.pop(keyword, None)
-                self._blocks_cache.pop(keyword, None)
-                self._block_cache.pop(keyword, None)
-        for keyword, occurrences in kept:
-            self._mark_dirty(keyword)
-            self._connection.execute(
-                "INSERT INTO staged_postings (keyword, fragment, tie, occurrences) "
-                "VALUES (?, ?, ?, ?)",
-                (keyword, encoded, tie, occurrences),
+        fragment_rows: List[Tuple[str, int]] = []
+        term_rows: List[Tuple[str, bytes]] = []
+        staged_rows: List[Tuple[str, str, str, int]] = []
+        keywords: Set[str] = set()
+        for encoded, identifier, pairs in fragments:
+            tie = str(identifier)
+            staged_rows.extend(
+                (keyword, encoded, tie, occurrences) for keyword, occurrences in pairs
             )
-            self._connection.execute(
-                "INSERT INTO fragments (id, size) VALUES (?, ?) "
-                "ON CONFLICT (id) DO UPDATE SET size = size + excluded.size",
-                (encoded, occurrences),
-            )
-            if in_batch:
-                self._tick_posting_write(keyword, encoded, identifier)
-            else:
-                self._epoch_clock.tick_posting(keyword, identifier)
-                self._persist_keyword_epoch(keyword)
-        if kept:
-            self._connection.execute(
-                "INSERT INTO fragment_terms (fragment, terms) VALUES (?, ?) "
-                "ON CONFLICT (fragment) DO UPDATE SET terms = excluded.terms",
-                (encoded, encode_fragment_terms(kept)),
-            )
-        if not in_batch:
-            self._persist_epoch()
-            self._persist_fragment_epoch(encoded, identifier)
+            size, vector = term_vector(pairs)
+            fragment_rows.append((encoded, size))
+            if vector:
+                term_rows.append((encoded, encode_fragment_terms(vector)))
+                keywords.update(vector)
+            self._batch_fragments[encoded] = identifier
+        connection = self._connection
+        connection.executemany("INSERT INTO fragments (id, size) VALUES (?, ?)", fragment_rows)
+        connection.executemany(
+            "INSERT INTO fragment_terms (fragment, terms) VALUES (?, ?)", term_rows
+        )
+        connection.executemany(
+            "INSERT INTO staged_postings (keyword, fragment, tie, occurrences) "
+            "VALUES (?, ?, ?, ?)",
+            staged_rows,
+        )
+        self._dirty_keywords.update(keywords)
+        self._batch_keywords.update(keywords)
 
-    def replace_fragment(self, identifier: FragmentId, term_frequencies) -> None:
-        """Swap one fragment's postings in a single sqlite transaction.
+    def apply_mutations(self, batch) -> int:
+        """Apply a whole replace/remove/touch batch in one transaction.
 
-        This is the incremental-maintenance path: after a crash the file
-        holds the old postings or the new ones, never a mix, and the epoch
-        write-through commits with the data it stamps.  Inside an open
-        :meth:`write_batch` the swap joins the batch's transaction instead
-        of committing on its own.
+        Joins the enclosing :meth:`write_batch` (a maintenance round's graph
+        updates commit with it) or opens its own.  A non-persistable
+        identifier is refused before anything hashes it, and every
+        identifier is encoded before the first write.
         """
-        self._assert_writable()
-        encoded = encode_identifier(identifier)
-        items = (
-            list(term_frequencies.items())
-            if hasattr(term_frequencies, "items")
-            else list(term_frequencies)
-        )
-        with self._lock:
-            if self._batch_depth:
-                self._replace_fragment_rows(encoded, identifier, items)
-                return
-            self._flush_staged()  # keep unrelated batched writes out of this txn
-            try:
-                self._replace_fragment_rows(encoded, identifier, items)
-                self._compact()
-                self._connection.commit()
-            except BaseException:
-                self._connection.rollback()
-                self._restage_dirty()
-                raise
+        batch = list(batch)
+        for op in batch:
+            if isinstance(op, (ReplaceFragment, RemoveFragment, TouchFragment)):
+                check_identifier_components(op.identifier)
+        ops = normalize_mutations(batch)
+        if not ops:
+            return 0
+        encoded_ids = [encode_identifier(op.identifier) for op in ops]
+        with self.write_batch():
+            incoming = []
+            for op, encoded in zip(ops, encoded_ids):
+                if isinstance(op, TouchFragment):
+                    registered = self._connection.execute(
+                        "INSERT OR IGNORE INTO fragments (id, size) VALUES (?, 0)", (encoded,)
+                    )
+                    if registered.rowcount:
+                        self._batch_fragments[encoded] = op.identifier
+                    continue
+                self._delete_fragment_rows(encoded, op.identifier)
+                if isinstance(op, ReplaceFragment):
+                    incoming.append((encoded, op.identifier, op.term_frequencies))
+            self._insert_fragment_rows(incoming)
+        return len(ops)
 
-    def finalize(self) -> None:
-        """Fold staged writes into the block tables and commit."""
-        if self.read_only:
-            return
-        with self._lock:
-            if self._batch_depth:
-                # The open atomic batch commits at write_batch exit, not here.
-                return
-            self._flush_staged()
+    def bulk_load(self, fragments) -> int:
+        """Stage whole new fragments with batched inserts.
 
-    # ------------------------------------------------------------------
-    # postings section — bulk loads (the batch build path)
-    # ------------------------------------------------------------------
-    def _tick_bulk_write(self, keywords, fragments_by_encoded: Dict[str, FragmentId]) -> None:
-        """One epoch tick (and epoch write-through) for a whole bulk load."""
-        if not keywords and not fragments_by_encoded:
-            return
-        if self._batch_depth:
-            self._batch_keywords.update(keywords)
-            self._batch_fragments.update(fragments_by_encoded)
-            return
-        self._epoch_clock.tick_batch(keywords, fragments_by_encoded.values())
-        self._persist_epoch()
-        epoch = self._epoch_clock.epoch
-        self._connection.executemany(
-            "INSERT OR REPLACE INTO keyword_epochs (keyword, epoch) VALUES (?, ?)",
-            [(keyword, epoch) for keyword in keywords],
-        )
-        self._connection.executemany(
-            "INSERT OR REPLACE INTO fragment_epochs (fragment, epoch) VALUES (?, ?)",
-            [(encoded, epoch) for encoded in fragments_by_encoded],
-        )
-
-    def _invalidate_bulk_caches(self, keywords, identifiers) -> None:
-        with self._cache_lock:
-            for keyword in keywords:
-                self._postings_cache.pop(keyword, None)
-                self._blocks_cache.pop(keyword, None)
-                self._block_cache.pop(keyword, None)
-            for identifier in identifiers:
-                self._sizes_cache.pop(identifier, None)
-                self._neighbors_cache.pop(identifier, None)
-                self._terms_cache.pop(identifier, None)
-
-    def bulk_load(self, fragments, finalize: bool = True) -> int:
-        """Stage whole new fragments with batched inserts (no per-posting path).
-
-        The disk-native form of :meth:`FragmentStore.bulk_load`: one
-        ``executemany`` each into ``fragments``, ``fragment_terms`` and the
-        ``staged_postings`` log, one dirty-mark per keyword and one epoch
-        tick for the whole batch; the next :meth:`finalize` (run here unless
-        ``finalize=False``) folds the log into canonical posting blocks.
-        Every fragment must be new — loading over an existing fragment would
-        duplicate its postings, so it raises :class:`StoreError` instead.
+        One ``executemany`` each into ``fragments``, ``fragment_terms`` and
+        the ``staged_postings`` log; the enclosing :meth:`write_batch` (the
+        load's own when called bare) folds the log into canonical posting
+        blocks and ticks once.
         """
-        self._assert_writable()
-        with self._lock:
-            fragment_rows: List[Tuple[str, int]] = []
-            term_rows: List[Tuple[str, bytes]] = []
-            staged_rows: List[Tuple[str, str, str, int]] = []
-            keywords: Set[str] = set()
-            by_encoded: Dict[str, FragmentId] = {}
-            for identifier, term_frequencies in fragments:
-                identifier = tuple(identifier)
-                encoded = encode_identifier(identifier)
-                if encoded in by_encoded:
-                    raise StoreError(f"duplicate fragment {identifier!r} in bulk load")
-                by_encoded[encoded] = identifier
-                items = (
-                    term_frequencies.items()
-                    if hasattr(term_frequencies, "items")
-                    else term_frequencies
-                )
-                tie = str(identifier)
-                size = 0
-                clean: List[Tuple[str, int]] = []
-                for keyword, occurrences in items:
-                    if occurrences <= 0:
-                        continue
-                    clean.append((keyword, occurrences))
-                    staged_rows.append((keyword, encoded, tie, occurrences))
-                    keywords.add(keyword)
-                    size += occurrences
-                fragment_rows.append((encoded, size))
-                if clean:
-                    term_rows.append((encoded, encode_fragment_terms(clean)))
-            self._assert_fragments_absent(list(by_encoded))
-            connection = self._connection
-            connection.executemany(
-                "INSERT INTO fragments (id, size) VALUES (?, ?)", fragment_rows
-            )
-            connection.executemany(
-                "INSERT INTO fragment_terms (fragment, terms) VALUES (?, ?)", term_rows
-            )
-            connection.executemany(
-                "INSERT INTO staged_postings (keyword, fragment, tie, occurrences) "
-                "VALUES (?, ?, ?, ?)",
-                staged_rows,
-            )
-            self._dirty_keywords.update(keywords)
-            self._invalidate_bulk_caches(keywords, by_encoded.values())
-            self._tick_bulk_write(keywords, by_encoded)
-        if finalize:
-            self.finalize()
-        return len(by_encoded)
+        incoming = []
+        listed: Set[str] = set()
+        for identifier, term_frequencies in fragments:
+            op = replace_op(identifier, term_frequencies)
+            encoded = encode_identifier(op.identifier)
+            if encoded in listed:
+                raise StoreError(f"duplicate fragment {op.identifier!r} in bulk load")
+            listed.add(encoded)
+            incoming.append((encoded, op.identifier, op.term_frequencies))
+        with self.write_batch():
+            self._assert_fragments_absent(list(listed))
+            self._insert_fragment_rows(incoming)
+        return len(incoming)
 
     def _assert_fragments_absent(self, encoded_ids: List[str]) -> None:
         for start in range(0, len(encoded_ids), self._IN_CHUNK):
@@ -1355,7 +1051,10 @@ class DiskStore(FragmentStore):
                     "bulk loads require fresh fragments"
                 )
 
-    def bulk_load_run(self, postings, sizes, finalize: bool = False) -> int:
+    # ------------------------------------------------------------------
+    # postings section — the sharded build's loaders
+    # ------------------------------------------------------------------
+    def bulk_load_run(self, postings, sizes) -> int:
         """Stage one sorted posting run with authoritative fragment sizes.
 
         The build pipeline's per-shard loader: ``postings`` is an iterable of
@@ -1363,51 +1062,47 @@ class DiskStore(FragmentStore):
         typically a *keyword partition*, so the run's fragments are not whole
         here — and ``sizes`` maps every member identifier to its **global**
         size (``INSERT OR REPLACE``, never accumulated), which is what keeps
-        the block summaries the next compaction builds bit-identical to a
+        the block summaries the scope's compaction builds bit-identical to a
         whole-corpus build.  Term vectors are not touched; a merge step loads
         them separately (:meth:`bulk_load_fragment_vectors`).  Returns the
         number of staged postings.
         """
-        self._assert_writable()
-        with self._lock:
-            by_encoded: Dict[str, FragmentId] = {}
-            fragment_rows: List[Tuple[str, int]] = []
-            for identifier, size in sizes.items():
-                identifier = tuple(identifier)
-                encoded = encode_identifier(identifier)
-                by_encoded[encoded] = identifier
-                fragment_rows.append((encoded, int(size)))
-            encoded_cache: Dict[FragmentId, Tuple[str, str]] = {}
-            staged_rows: List[Tuple[str, str, str, int]] = []
-            keywords: Set[str] = set()
-            for keyword, identifier, occurrences in postings:
-                if occurrences <= 0:
-                    continue
-                identifier = tuple(identifier)
-                try:
-                    encoded, tie = encoded_cache[identifier]
-                except KeyError:
-                    encoded, tie = encoded_cache.setdefault(
-                        identifier, (encode_identifier(identifier), str(identifier))
-                    )
-                staged_rows.append((keyword, encoded, tie, occurrences))
-                keywords.add(keyword)
-            connection = self._connection
-            connection.executemany(
+        by_encoded: Dict[str, FragmentId] = {}
+        fragment_rows: List[Tuple[str, int]] = []
+        for identifier, size in sizes.items():
+            identifier = tuple(identifier)
+            encoded = encode_identifier(identifier)
+            by_encoded[encoded] = identifier
+            fragment_rows.append((encoded, int(size)))
+        encoded_cache: Dict[FragmentId, Tuple[str, str]] = {}
+        staged_rows: List[Tuple[str, str, str, int]] = []
+        keywords: Set[str] = set()
+        for keyword, identifier, occurrences in postings:
+            if occurrences <= 0:
+                continue
+            identifier = tuple(identifier)
+            try:
+                encoded, tie = encoded_cache[identifier]
+            except KeyError:
+                encoded, tie = encoded_cache.setdefault(
+                    identifier, (encode_identifier(identifier), str(identifier))
+                )
+            staged_rows.append((keyword, encoded, tie, occurrences))
+            keywords.add(keyword)
+        with self.write_batch():
+            self._connection.executemany(
                 "INSERT INTO fragments (id, size) VALUES (?, ?) "
                 "ON CONFLICT (id) DO UPDATE SET size = excluded.size",
                 fragment_rows,
             )
-            connection.executemany(
+            self._connection.executemany(
                 "INSERT INTO staged_postings (keyword, fragment, tie, occurrences) "
                 "VALUES (?, ?, ?, ?)",
                 staged_rows,
             )
             self._dirty_keywords.update(keywords)
-            self._invalidate_bulk_caches(keywords, by_encoded.values())
-            self._tick_bulk_write(keywords, by_encoded)
-        if finalize:
-            self.finalize()
+            self._batch_keywords.update(keywords)
+            self._batch_fragments.update(by_encoded)
         return len(staged_rows)
 
     def bulk_load_fragment_vectors(self, fragments) -> int:
@@ -1417,60 +1112,46 @@ class DiskStore(FragmentStore):
         :meth:`absorb_index_shard`, and this writes the authoritative
         ``fragments`` / ``fragment_terms`` rows from the pipeline's fragment
         spools (``(identifier, term_frequencies)`` pairs, whole vectors).
-        ``INSERT OR REPLACE`` semantics; the caller commits via
-        :meth:`finalize`.  Returns the number of fragments written.
+        ``INSERT OR REPLACE`` semantics.  Returns the number of fragments
+        written.
         """
-        self._assert_writable()
-        with self._lock:
-            fragment_rows: List[Tuple[str, int]] = []
-            term_rows: List[Tuple[str, bytes]] = []
-            by_encoded: Dict[str, FragmentId] = {}
-            for identifier, term_frequencies in fragments:
-                identifier = tuple(identifier)
-                encoded = encode_identifier(identifier)
-                items = [
-                    (keyword, occurrences)
-                    for keyword, occurrences in (
-                        term_frequencies.items()
-                        if hasattr(term_frequencies, "items")
-                        else term_frequencies
-                    )
-                    if occurrences > 0
-                ]
-                fragment_rows.append((encoded, sum(occ for _kw, occ in items)))
-                if items:
-                    term_rows.append((encoded, encode_fragment_terms(items)))
-                by_encoded[encoded] = identifier
-            connection = self._connection
-            connection.executemany(
+        fragment_rows: List[Tuple[str, int]] = []
+        term_rows: List[Tuple[str, bytes]] = []
+        by_encoded: Dict[str, FragmentId] = {}
+        for identifier, term_frequencies in fragments:
+            op = replace_op(identifier, term_frequencies)
+            encoded = encode_identifier(op.identifier)
+            size, vector = term_vector(op.term_frequencies)
+            fragment_rows.append((encoded, size))
+            if vector:
+                term_rows.append((encoded, encode_fragment_terms(vector)))
+            by_encoded[encoded] = op.identifier
+        with self.write_batch():
+            self._connection.executemany(
                 "INSERT INTO fragments (id, size) VALUES (?, ?) "
                 "ON CONFLICT (id) DO UPDATE SET size = excluded.size",
                 fragment_rows,
             )
-            connection.executemany(
+            self._connection.executemany(
                 "INSERT INTO fragment_terms (fragment, terms) VALUES (?, ?) "
                 "ON CONFLICT (fragment) DO UPDATE SET terms = excluded.terms",
                 term_rows,
             )
-            self._invalidate_bulk_caches((), by_encoded.values())
-            self._tick_bulk_write(set(), by_encoded)
+            self._batch_fragments.update(by_encoded)
         return len(fragment_rows)
 
     def absorb_index_shard(self, path: str) -> int:
-        """Copy another finalized DiskStore file's posting blocks into this one.
+        """Copy another committed DiskStore file's posting blocks into this one.
 
         The fan-in step of the sharded build: each shard file holds the
         canonical, already-compacted ``posting_blocks`` rows of a disjoint
         keyword partition (built against global fragment sizes), so
         absorbing is a straight row copy — no decoding, no re-sorting, no
-        re-blocking.  The shard must be finalized (empty staged log), its
-        keywords must not already exist here, and this store must hold no
-        staged writes for them; violating either raises
-        :class:`StoreError`.  The caller commits via :meth:`finalize`.
-        Returns the number of block rows copied.
+        re-blocking.  The shard's keywords must not already exist here, and
+        the open batch must hold no staged writes for them; violating either
+        raises :class:`StoreError`.  Returns the number of block rows copied.
         """
-        self._assert_writable()
-        with self._lock:
+        with self.write_batch():
             source = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
             try:
                 staged = source.execute(
@@ -1479,8 +1160,8 @@ class DiskStore(FragmentStore):
                 ).fetchone()[0]
                 if staged:
                     raise StoreError(
-                        f"index shard {path!r} holds {staged} unfinalized staged "
-                        "writes; finalize the shard before absorbing it"
+                        f"index shard {path!r} holds {staged} uncompacted staged "
+                        "writes; only a committed shard can be absorbed"
                     )
                 cursor = source.execute(
                     "SELECT keyword, block_no, count, max_occurrences, max_weight, "
@@ -1496,7 +1177,7 @@ class DiskStore(FragmentStore):
                     if self._dirty_keywords.intersection(keywords):
                         raise StoreError(
                             "absorbing a shard over staged writes for its keywords "
-                            "would fold them twice; finalize this store first"
+                            "would fold them twice; absorb in a batch of its own"
                         )
                     try:
                         self._connection.executemany(
@@ -1513,8 +1194,7 @@ class DiskStore(FragmentStore):
                     copied += len(rows)
             finally:
                 source.close()
-            self._invalidate_bulk_caches(keywords, ())
-            self._tick_bulk_write(keywords, {})
+            self._batch_keywords.update(keywords)
         return copied
 
     # ------------------------------------------------------------------
@@ -1530,8 +1210,8 @@ class DiskStore(FragmentStore):
         On a pooled reader the committed file is always compacted (see
         :meth:`_compact`), so concatenating each keyword's blocks in
         ``block_no`` order *is* the canonical inverted list.  On the locked
-        write connection (open bulk load, or the owning thread of an open
-        batch) the staged log may hold rows the blocks do not: those
+        write connection (the owning thread of the open batch) the staged
+        log may hold rows the blocks do not: those
         keywords merge stored-minus-removed with the staged rows under the
         canonical ``(occurrences DESC, tie, insertion)`` sort.
         """
@@ -1682,61 +1362,27 @@ class DiskStore(FragmentStore):
         return self.fragment_term_frequencies_for((identifier,))[identifier]
 
     def fragment_term_frequencies_for(self, identifiers) -> Dict[FragmentId, Dict[str, int]]:
-        """Each fragment's term vector from its forward-index BLOB.
-
-        One chunked IN query for the cache misses; hits are epoch-validated
-        like sizes.  Returned dictionaries are shared with the cache — treat
-        them as read-only.
-        """
+        """Each fragment's term vector from its forward-index BLOB (one
+        chunked IN query; unknown fragments answer ``{}``)."""
+        wanted = [
+            (identifier, encode_identifier(identifier))
+            for identifier in dict.fromkeys(identifiers)
+        ]
         vectors: Dict[FragmentId, Dict[str, int]] = {}
-        wanted: List[Tuple[FragmentId, str]] = []
-        in_owned_batch = self._in_owned_batch()
-        if in_owned_batch:
-            for identifier in dict.fromkeys(identifiers):
-                wanted.append((identifier, encode_identifier(identifier)))
-        else:
-            # Hoisted bound methods: the per-fragment attribute walks add
-            # up on large batches.
-            epoch_of = self._epoch_clock.fragment_epoch
-            cache_get = self._terms_cache.get
-            with self._cache_lock:
-                for identifier in dict.fromkeys(identifiers):
-                    cached = cache_get(identifier)
-                    if cached is not None and epoch_of(identifier) <= cached[0]:
-                        vectors[identifier] = cached[1]
-                        continue
-                    if cached is not None:
-                        self._terms_cache.pop(identifier, None)
-                    wanted.append((identifier, encode_identifier(identifier)))
-        stamp = self.epoch
         for start in range(0, len(wanted), self._IN_CHUNK):
             chunk = wanted[start : start + self._IN_CHUNK]
             placeholders = ",".join("?" for _ in chunk)
-            rows = self._execute_read(
-                f"SELECT fragment, terms FROM fragment_terms "
-                f"WHERE fragment IN ({placeholders})",
-                tuple(encoded for _identifier, encoded in chunk),
+            blobs = dict(
+                self._execute_read(
+                    f"SELECT fragment, terms FROM fragment_terms "
+                    f"WHERE fragment IN ({placeholders})",
+                    tuple(encoded for _identifier, encoded in chunk),
+                )
             )
-            by_encoded = dict(rows)
-            with self._cache_lock:
-                for identifier, encoded in chunk:
-                    blob = by_encoded.get(encoded)
-                    if blob is None:
-                        # Unknown fragments answer {} and are never cached.
-                        vectors[identifier] = {}
-                        continue
-                    frequencies: Dict[str, int] = {}
-                    for keyword, occurrences in decode_fragment_terms(blob):
-                        if occurrences > frequencies.get(keyword, 0):
-                            frequencies[keyword] = occurrences
-                    vectors[identifier] = frequencies
-                    if not in_owned_batch:
-                        self._terms_cache[identifier] = (stamp, frequencies)
+            for identifier, encoded in chunk:
+                blob = blobs.get(encoded)
+                vectors[identifier] = decode_fragment_terms(blob) if blob is not None else {}
         return vectors
-
-    def fragment_keywords(self, identifier: FragmentId) -> Tuple[str, ...]:
-        """The keywords whose inverted lists mention ``identifier``."""
-        return tuple(self.fragment_term_frequencies(identifier))
 
     def fragment_size(self, identifier: FragmentId) -> int:
         in_owned_batch = self._in_owned_batch()
@@ -1818,7 +1464,7 @@ class DiskStore(FragmentStore):
                 "SELECT DISTINCT keyword FROM posting_blocks ORDER BY keyword"
             )
             return tuple(keyword for (keyword,) in rows)
-        # Write-connection fallback (open bulk load / owned batch): the
+        # Write-connection fallback (the owner of the open batch): the
         # staged log can hold keywords the blocks don't yet, and pending
         # removals can have emptied a blocked keyword.
         with self._lock:
@@ -1851,12 +1497,12 @@ class DiskStore(FragmentStore):
         """Block directories served straight from the summary columns.
 
         The pooled-reader fast path reads only ``(count, max_occurrences,
-        max_weight)`` rows — no BLOBs — and hands back lazily-decoding
-        handles whose per-block reads (and the directories themselves) are
-        cached under store-epoch validation.  While this thread must read
-        through the write connection (open bulk load / owned batch) the
-        staged log isn't folded into blocks yet, so the generic merged-list
-        builder answers instead: deterministic, just not block-served.
+        max_weight)`` rows — no BLOBs — and hands back handles (cached under
+        store-epoch validation) whose ``decode`` slices the keyword's
+        epoch-validated :meth:`postings`.  While this thread must read
+        through the write connection (it owns the open batch) the staged log
+        isn't folded into blocks yet, so the generic merged-list builder
+        answers instead: deterministic, just not block-served.
         """
         unique = list(dict.fromkeys(keywords))
         if self._read_connection() is None:
@@ -1889,46 +1535,23 @@ class DiskStore(FragmentStore):
         with self._cache_lock:
             for keyword in missing:
                 handle = KeywordBlocks(
-                    keyword, tuple(grouped[keyword]), self._block_decoder(keyword)
+                    keyword,
+                    tuple(grouped[keyword]),
+                    lambda block_no, keyword=keyword: self.postings(keyword)[
+                        block_no * BLOCK_SIZE : (block_no + 1) * BLOCK_SIZE
+                    ],
                 )
                 results[keyword] = handle
                 if grouped[keyword]:
                     self._blocks_cache[keyword] = (stamp, handle)
         return results
 
-    def _block_decoder(self, keyword: str):
-        """A per-keyword lazy block decoder backed by ``_block_cache``."""
-
-        def decoder(block_no: int) -> Tuple[Posting, ...]:
-            with self._cache_lock:
-                cached = self._block_cache.get(keyword)
-                if cached is not None and self.epoch <= cached[0]:
-                    decoded = cached[1].get(block_no)
-                    if decoded is not None:
-                        return decoded
-            stamp = self.epoch
-            rows = self._execute_read(
-                "SELECT entries FROM posting_blocks WHERE keyword = ? AND block_no = ?",
-                (keyword, block_no),
-            )
-            decoded = decode_block(rows[0][0], self._decode) if rows else ()
-            with self._cache_lock:
-                cached = self._block_cache.get(keyword)
-                if cached is not None and self.epoch <= cached[0]:
-                    cached[1][block_no] = decoded
-                else:
-                    self._block_cache[keyword] = (stamp, {block_no: decoded})
-            return decoded
-
-        return decoder
-
     # ------------------------------------------------------------------
     # graph section
     # ------------------------------------------------------------------
     def add_node(self, identifier: FragmentId, keyword_count: int) -> None:
-        self._assert_writable()
         encoded = encode_identifier(identifier)
-        with self._lock:
+        with self.write_batch():
             self._connection.execute(
                 "INSERT OR REPLACE INTO nodes (id, keyword_count) VALUES (?, ?)",
                 (encoded, keyword_count),
@@ -1936,9 +1559,7 @@ class DiskStore(FragmentStore):
             # Re-adding a node resets its neighbour set, like the in-memory
             # backend's fresh set() assignment.
             self._connection.execute("DELETE FROM edges WHERE src = ?", (encoded,))
-            with self._cache_lock:
-                self._neighbors_cache.pop(identifier, None)
-            self._tick_fragment_write(encoded, identifier)
+            self._batch_fragments[encoded] = identifier
 
     def _require_node(self, encoded: str, identifier: FragmentId) -> None:
         known = self._connection.execute(
@@ -1948,15 +1569,12 @@ class DiskStore(FragmentStore):
             raise KeyError(identifier)
 
     def remove_node(self, identifier: FragmentId) -> None:
-        self._assert_writable()
         encoded = encode_identifier(identifier)
-        with self._lock:
+        with self.write_batch():
             self._require_node(encoded, identifier)
             self._connection.execute("DELETE FROM edges WHERE src = ?", (encoded,))
             self._connection.execute("DELETE FROM nodes WHERE id = ?", (encoded,))
-            with self._cache_lock:
-                self._neighbors_cache.pop(identifier, None)
-            self._tick_fragment_write(encoded, identifier)
+            self._batch_fragments[encoded] = identifier
 
     def has_node(self, identifier: FragmentId) -> bool:
         return bool(
@@ -1975,14 +1593,13 @@ class DiskStore(FragmentStore):
         return rows[0][0]
 
     def set_node_keyword_count(self, identifier: FragmentId, keyword_count: int) -> None:
-        self._assert_writable()
         encoded = encode_identifier(identifier)
-        with self._lock:
+        with self.write_batch():
             self._require_node(encoded, identifier)
             self._connection.execute(
                 "UPDATE nodes SET keyword_count = ? WHERE id = ?", (keyword_count, encoded)
             )
-            self._tick_fragment_write(encoded, identifier)
+            self._batch_fragments[encoded] = identifier
 
     def node_ids(self) -> Tuple[FragmentId, ...]:
         rows = self._execute_read("SELECT id FROM nodes")
@@ -1992,30 +1609,24 @@ class DiskStore(FragmentStore):
         return self._execute_read("SELECT COUNT(*) FROM nodes")[0][0]
 
     def add_neighbor(self, identifier: FragmentId, neighbor: FragmentId) -> None:
-        self._assert_writable()
         encoded = encode_identifier(identifier)
-        with self._lock:
+        with self.write_batch():
             self._require_node(encoded, identifier)
             self._connection.execute(
                 "INSERT OR IGNORE INTO edges (src, dst) VALUES (?, ?)",
                 (encoded, encode_identifier(neighbor)),
             )
-            with self._cache_lock:
-                self._neighbors_cache.pop(identifier, None)
-            self._tick_fragment_write(encoded, identifier)
+            self._batch_fragments[encoded] = identifier
 
     def discard_neighbor(self, identifier: FragmentId, neighbor: FragmentId) -> None:
-        self._assert_writable()
         encoded = encode_identifier(identifier)
-        with self._lock:
+        with self.write_batch():
             self._require_node(encoded, identifier)
             self._connection.execute(
                 "DELETE FROM edges WHERE src = ? AND dst = ?",
                 (encoded, encode_identifier(neighbor)),
             )
-            with self._cache_lock:
-                self._neighbors_cache.pop(identifier, None)
-            self._tick_fragment_write(encoded, identifier)
+            self._batch_fragments[encoded] = identifier
 
     def neighbors(self, identifier: FragmentId) -> Tuple[FragmentId, ...]:
         # The expansion loop reads adjacency for every page member of every

@@ -110,14 +110,6 @@ class EpochClock:
         self._fragments[identifier] = self._epoch
         return self._epoch
 
-    def tick_removal(self, identifier: FragmentId, keywords: Iterable[str]) -> int:
-        """The fragment's postings were dropped from ``keywords``' lists."""
-        self._epoch += 1
-        for keyword in keywords:
-            self._keywords[keyword] = self._epoch
-        self._fragments[identifier] = self._epoch
-        return self._epoch
-
     def tick_batch(
         self, keywords: Iterable[str], fragments: Iterable[FragmentId]
     ) -> int:

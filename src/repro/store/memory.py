@@ -14,9 +14,15 @@ import threading
 from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.core.fragments import FragmentId
-from repro.store.base import FragmentStore
+from repro.store.base import FragmentStore, StoreError
 from repro.store.blocks import KeywordBlocks, keyword_blocks_from_postings
-from repro.store.mutations import RemoveFragment, ReplaceFragment, normalize_mutations
+from repro.store.mutations import (
+    RemoveFragment,
+    ReplaceFragment,
+    normalize_mutations,
+    replace_op,
+    term_vector,
+)
 from repro.text.inverted_index import Posting
 
 
@@ -58,43 +64,51 @@ class InMemoryStore(FragmentStore):
     # ------------------------------------------------------------------
     # postings section — writes
     # ------------------------------------------------------------------
-    def touch_fragment(self, identifier: FragmentId) -> None:
-        new = identifier not in self._fragment_sizes
-        self._fragment_sizes.setdefault(identifier, 0)
-        self._fragment_keywords.setdefault(identifier, {})
-        if new:
-            self._epoch_clock.tick_fragment(identifier)
+    def bulk_load(self, fragments) -> int:
+        """Append whole new fragments in one locked pass (one clock tick).
 
-    def add_posting(self, keyword: str, identifier: FragmentId, occurrences: int) -> None:
+        The touched lists are left unsorted; :meth:`finalize` — run by the
+        first read — restores the canonical order once, however many loads
+        preceded it.
+        """
+        ops = [
+            replace_op(identifier, term_frequencies)
+            for identifier, term_frequencies in fragments
+        ]
+        if not ops:
+            return 0
+        listed: Set[FragmentId] = set()
+        keywords: Set[str] = set()
+        with self._postings_lock:
+            for op in ops:
+                if op.identifier in self._fragment_sizes or op.identifier in listed:
+                    raise StoreError(
+                        f"bulk load would duplicate fragment {op.identifier!r}; "
+                        "bulk loads require fresh fragments"
+                    )
+                listed.add(op.identifier)
+            self._sorted = False
+            for op in ops:
+                keywords.update(self._append_postings(op.identifier, op.term_frequencies))
         # Every mutator ticks the clock *after* its data writes complete (the
         # tick is the mutation's commit point): search stamps are captured
         # before the search's first data read, so any search that raced this
         # write carries a pre-tick stamp and the tick invalidates it.
-        with self._postings_lock:
-            self._postings.setdefault(keyword, []).append(Posting(identifier, occurrences))
-            self._fragment_sizes[identifier] = self._fragment_sizes.get(identifier, 0) + occurrences
-            keyword_map = self._fragment_keywords.setdefault(identifier, {})
-            if occurrences > keyword_map.get(keyword, 0):
-                keyword_map[keyword] = occurrences
-            self._sorted = False
-        self._epoch_clock.tick_posting(keyword, identifier)
+        self._epoch_clock.tick_batch(keywords, listed)
+        return len(ops)
 
-    def remove_fragment(self, identifier: FragmentId) -> None:
-        if identifier not in self._fragment_sizes:
-            return
-        with self._postings_lock:
-            del self._fragment_sizes[identifier]
-            keywords = self._fragment_keywords.pop(identifier, {})
-            for keyword in keywords:
-                postings = self._postings.get(keyword)
-                if postings is None:
-                    continue
-                kept = [posting for posting in postings if posting.document_id != identifier]
-                if kept:
-                    self._postings[keyword] = kept
-                else:
-                    del self._postings[keyword]
-        self._epoch_clock.tick_removal(identifier, keywords)
+    def _append_postings(self, identifier: FragmentId, pairs) -> Dict[str, int]:
+        """Register ``identifier`` and append its postings (lock held).
+
+        Duplicate ``(keyword, fragment)`` pairs stay separate postings (see
+        :func:`~repro.store.mutations.term_vector`).  Returns the fragment's
+        keyword map.
+        """
+        for keyword, occurrences in pairs:
+            self._postings.setdefault(keyword, []).append(Posting(identifier, occurrences))
+        self._fragment_sizes[identifier], keyword_map = term_vector(pairs)
+        self._fragment_keywords[identifier] = keyword_map
+        return keyword_map
 
     def apply_mutations(self, batch) -> int:
         """Apply a whole replace/remove/touch batch in one dictionary pass.
@@ -135,19 +149,10 @@ class InMemoryStore(FragmentStore):
                     if isinstance(op, RemoveFragment):
                         continue
                     # Replace: register (even when empty) and append the new
-                    # postings exactly like repeated add_posting calls.
-                    size = 0
-                    keyword_map: Dict[str, int] = {}
-                    for keyword, occurrences in op.term_frequencies:
-                        self._postings.setdefault(keyword, []).append(
-                            Posting(identifier, occurrences)
-                        )
-                        size += occurrences
-                        if occurrences > keyword_map.get(keyword, 0):
-                            keyword_map[keyword] = occurrences
-                        affected_keywords.add(keyword)
-                    self._fragment_sizes[identifier] = size
-                    self._fragment_keywords[identifier] = keyword_map
+                    # postings.
+                    affected_keywords.update(
+                        self._append_postings(identifier, op.term_frequencies)
+                    )
                     affected_fragments.add(identifier)
                 else:  # TouchFragment: a no-op unless the fragment is new
                     if identifier not in self._fragment_sizes:
@@ -234,10 +239,7 @@ class InMemoryStore(FragmentStore):
         return {keyword: len(postings) for keyword, postings in self._postings.items()}
 
     def term_frequency(self, keyword: str, identifier: FragmentId) -> int:
-        for posting in self._postings.get(keyword, ()):
-            if posting.document_id == identifier:
-                return posting.term_frequency
-        return 0
+        return self._fragment_keywords.get(identifier, {}).get(keyword, 0)
 
     def fragment_term_frequencies(self, identifier: FragmentId) -> Dict[str, int]:
         # The reverse map carries the counts, so no posting list is scanned.
@@ -275,16 +277,6 @@ class InMemoryStore(FragmentStore):
 
     def vocabulary_size(self) -> int:
         return len(self._postings)
-
-    def approximate_bytes(self) -> int:
-        total = 0
-        for keyword, postings in self._postings.items():
-            total += len(keyword) + 1
-            for posting in postings:
-                total += 8
-                for component in posting.document_id:
-                    total += len(str(component)) + 1
-        return total
 
     def iter_items(self) -> Iterator[Tuple[str, Tuple[Posting, ...]]]:
         self.finalize()

@@ -43,11 +43,9 @@ class ReplaceFragment:
 
     ``term_frequencies`` is a tuple of canonical ``(keyword, occurrences)``
     pairs (keywords already lower-cased, occurrences positive); duplicate
-    keywords accumulate as separate postings, exactly like repeated
-    ``add_posting`` calls.  Unlike bare
-    :meth:`~repro.store.FragmentStore.replace_fragment`, a replace op always
-    registers the fragment, so a fragment whose records survive with zero
-    indexable keywords stays known to the store.
+    keywords stay separate postings and accumulate into the fragment's size.
+    A replace op always registers the fragment, so a fragment whose records
+    survive with zero indexable keywords stays known to the store.
     """
 
     identifier: FragmentId
@@ -89,11 +87,45 @@ def replace_op(identifier: FragmentId, term_frequencies) -> ReplaceFragment:
     """Build a canonical :class:`ReplaceFragment` from a mapping or pair iterable.
 
     Coerces the identifier to a tuple and drops non-positive occurrence
-    counts (matching what the per-fragment ``replace_fragment`` path skips).
+    counts.
     Keyword case is preserved — lower-casing is the
     :class:`~repro.core.fragment_index.InvertedFragmentIndex` facade's job.
     """
     return ReplaceFragment(tuple(identifier), _as_pairs(term_frequencies))
+
+
+def term_vector(pairs: Iterable[Tuple[str, int]]) -> Tuple[int, Dict[str, int]]:
+    """One fragment's ``(size, keyword -> occurrences)`` from its posting pairs.
+
+    Duplicate keywords are separate postings: they all count towards the
+    size, and the vector keeps the highest count — the posting a
+    descending-sorted list scan finds first.
+    """
+    size = 0
+    vector: Dict[str, int] = {}
+    for keyword, occurrences in pairs:
+        size += occurrences
+        if occurrences > vector.get(keyword, 0):
+            vector[keyword] = occurrences
+    return size, vector
+
+
+def regroup_posting_lists(posting_lists, registered=()) -> Dict[FragmentId, List[Tuple[str, int]]]:
+    """Keyword-major ``(keyword, postings)`` lists as whole fragments.
+
+    The inverse view of an inverted index, in the shape
+    :meth:`~repro.store.FragmentStore.bulk_load` takes: ``fragment ->
+    [(keyword, occurrences), ...]``.  ``registered`` names fragments to
+    carry even when no posting mentions them (they load at size 0);
+    duplicate ``(keyword, fragment)`` postings stay separate pairs.
+    """
+    fragments: Dict[FragmentId, List[Tuple[str, int]]] = {
+        tuple(identifier): [] for identifier in registered
+    }
+    for keyword, postings in posting_lists:
+        for identifier, occurrences in postings:
+            fragments.setdefault(tuple(identifier), []).append((keyword, occurrences))
+    return fragments
 
 
 def coalesce_mutations(batch: Iterable[Mutation]) -> List[Mutation]:

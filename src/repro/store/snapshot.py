@@ -18,8 +18,8 @@ as JSON arrays and restoration coerces them back to tuples.
 
 Snapshots deliberately carry *postings*, not posting blocks: the block
 directories (summaries plus delta+varint BLOBs) are a pure function of the
-sorted posting lists and fragment sizes, so restoration replays the postings
-and every backend rebuilds bit-identical blocks on its own.  That keeps
+sorted posting lists and fragment sizes, so restoration bulk-loads the
+postings and every backend rebuilds bit-identical blocks on its own.  That keeps
 ``FORMAT_VERSION`` at 1 — files written before the block layout existed
 restore unchanged, and block-format evolution never invalidates snapshots.
 """
@@ -106,6 +106,7 @@ def load_snapshot(
     frequencies.  The restored clock matches the snapshotted one exactly.
     """
     from repro.store import FragmentStore, StoreError, resolve_store
+    from repro.store.mutations import regroup_posting_lists
 
     with open(os.fspath(path), "r", encoding="utf-8") as handle:
         payload = json.load(handle)
@@ -120,29 +121,28 @@ def load_snapshot(
         raise StoreError("snapshots must be restored into an empty store")
 
     try:
-        # Replay in write order: sizes register every fragment (including
-        # postings-free ones), postings rebuild the lists and re-accumulate
-        # the sizes, then the graph section, then the exact clock state on
-        # top of whatever the replay ticked.
+        # Regroup the keyword-major postings into whole fragments — the
+        # sizes list registers every fragment, including postings-free ones
+        # — and load them and the graph section as one write batch; the
+        # exact clock state then goes on top of whatever the replay ticked.
         expected_sizes = {tuple(identifier): size for identifier, size in payload["sizes"]}
-        for identifier in expected_sizes:
-            target.touch_fragment(identifier)
-        for keyword, postings in payload["postings"]:
-            for identifier, occurrences in postings:
-                target.add_posting(keyword, tuple(identifier), occurrences)
+        fragments = regroup_posting_lists(payload["postings"], expected_sizes)
+        with target.write_batch():
+            target.bulk_load(fragments.items())
+            # Sizes are re-accumulated by the load; the stored values
+            # double-check the size == sum(occurrences) invariant held when
+            # the snapshot was written (a divergence means a corrupt or
+            # edited file).
+            if target.fragment_sizes() != expected_sizes:
+                raise StoreError(
+                    f"snapshot {path!r} is inconsistent: stored fragment sizes do not "
+                    "match the sizes its postings re-accumulate to"
+                )
+            for identifier, keyword_count in payload["nodes"]:
+                target.add_node(tuple(identifier), keyword_count)
+            for identifier, neighbor in payload["edges"]:
+                target.add_neighbor(tuple(identifier), tuple(neighbor))
         target.finalize()
-        # Sizes are re-accumulated by the postings replay; the stored values
-        # double-check the size == sum(occurrences) invariant held when the
-        # snapshot was written (a divergence means a corrupt or edited file).
-        if target.fragment_sizes() != expected_sizes:
-            raise StoreError(
-                f"snapshot {path!r} is inconsistent: stored fragment sizes do not "
-                "match the sizes its postings re-accumulate to"
-            )
-        for identifier, keyword_count in payload["nodes"]:
-            target.add_node(tuple(identifier), keyword_count)
-        for identifier, neighbor in payload["edges"]:
-            target.add_neighbor(tuple(identifier), tuple(neighbor))
         epochs = payload["epochs"]
         target.load_epochs(
             epochs["epoch"],

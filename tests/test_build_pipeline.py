@@ -57,11 +57,9 @@ class ListSource:
 
 
 def naive_build(fragments, store):
-    """The single-process reference: per-posting loads into one store."""
+    """The single-process reference: one load per fragment into one store."""
     for identifier, term_frequencies in fragments:
-        store.touch_fragment(identifier)
-        for keyword, occurrences in term_frequencies.items():
-            store.add_posting(keyword, identifier, occurrences)
+        store.bulk_load([(identifier, term_frequencies)])
     store.finalize()
     return store
 
@@ -432,7 +430,7 @@ class TestFaultInjection:
 
     def test_memory_target_fault_injection(self, corpus):
         reference = naive_build(corpus, InMemoryStore())
-        for phase in ("map", "reduce", "load", "load:finalize"):
+        for phase in ("map", "load", "load:finalize"):
             injector, fired = _kill_once(phase)
             store = InMemoryStore()
             report = BuildPipeline(
@@ -445,6 +443,25 @@ class TestFaultInjection:
             assert fired, phase
             assert sum(report.retries.values()) == 1, phase
             assert store.fragment_sizes() == reference.fragment_sizes(), phase
+
+    def test_memory_target_skips_posting_spools_and_reduce(self, corpus, tmp_path):
+        # whole fragments go straight from the map spools to bulk_load:
+        # nothing would read a posting spool or a sorted run
+        workdir = str(tmp_path / "work")
+        reduced = []
+        report = BuildPipeline(
+            corpus,
+            map_tasks=2,
+            reduce_tasks=2,
+            workers=1,
+            workdir=workdir,
+            retry_policy=RetryPolicy(
+                failure_injector=lambda phase, *_task: reduced.append(phase == "reduce")
+            ),
+        ).run(InMemoryStore())
+        assert not any(reduced) and report.reduce_seconds == 0.0
+        assert sorted(os.listdir(workdir)) == ["map-0.fragments", "map-1.fragments"]
+        assert report.postings == sum(len(terms) for _identifier, terms in corpus)
 
     def test_real_bugs_are_not_retried(self, corpus, tmp_path):
         calls = []

@@ -181,6 +181,57 @@ class TestClusterStore:
         finally:
             cluster.close()
 
+    def test_populate_keeps_duplicate_postings(self):
+        """Re-partitioning regroups the source's inverted lists, so duplicate
+        (keyword, fragment) postings arrive as the separate postings they are."""
+        store, _searcher = build_corpus(synthetic_corpus(12, seed=5))
+        store.replace_fragment(store.fragment_ids()[0], [("burger", 2), ("burger", 3)])
+        cluster = SearchCluster.build(QUERY, SPEC, URI, store, nodes=2)
+        try:
+            assert list(cluster.store.iter_items()) == list(store.iter_items())
+            assert cluster.store.fragment_sizes() == store.fragment_sizes()
+        finally:
+            cluster.close()
+
+    @pytest.mark.parametrize("backend", ["memory", "disk"])
+    def test_write_batch_commits_once_per_partition_and_ticks_once(self, backend, tmp_path):
+        store, _searcher = build_corpus(synthetic_corpus(40, seed=5))
+        cluster = SearchCluster.build(
+            QUERY, SPEC, URI, store, nodes=4, node_store=backend, store_dir=str(tmp_path)
+        )
+        try:
+            facade = cluster.store
+            identifiers = store.fragment_ids()
+            epoch, partitions = facade.epoch, facade.partition_epochs()
+            with facade.write_batch():
+                facade.apply_mutations(
+                    [ReplaceFragment(identifier, (("zzz", 2),)) for identifier in identifiers[:8]]
+                )
+                with facade.write_batch():
+                    for identifier in identifiers:
+                        facade.set_node_keyword_count(identifier, 2)
+                # deferred: a stamp taken now must not cover uncommitted data
+                assert facade.epoch == epoch
+                if backend == "disk":
+                    assert facade.partition_epochs() == partitions
+            assert facade.epoch == epoch + 1
+            assert facade.keyword_epoch("zzz") == facade.epoch
+            assert all(facade.fragment_epoch(i) == facade.epoch for i in identifiers)
+            if backend == "disk":  # one transaction, one tick per primary
+                assert facade.partition_epochs() == {
+                    partition: before + 1 for partition, before in partitions.items()
+                }
+            assert facade.fragment_frequency("zzz") == 8
+            # a failed batch still ticks (in-memory primaries cannot roll back)
+            with pytest.raises(RuntimeError):
+                with facade.write_batch():
+                    facade.set_node_keyword_count(identifiers[0], 3)
+                    raise RuntimeError("boom")
+            assert facade.epoch == epoch + 2
+            assert facade.node_keyword_count(identifiers[0]) == (2 if backend == "disk" else 3)
+        finally:
+            cluster.close()
+
     def test_facade_epoch_matches_single_store(self):
         """populate + identical mutations keep facade/store epochs in lockstep."""
         fragments = synthetic_corpus(30, seed=7)

@@ -85,7 +85,7 @@ class TestFaultPlane:
         store = plane.wrap_store("n0", InMemoryStore())
         # Death fences *reads*; writes and metadata still delegate so a
         # fenced node can be re-synced after revival.
-        store.add_posting("burger", ("CuisineA", 5), 2)
+        store.bulk_load([(("CuisineA", 5), {"burger": 2})])
         assert store.epoch == store.inner_store.epoch
         with pytest.raises(NodeDown):
             store.postings("burger")
@@ -461,8 +461,7 @@ class TestDiskReadRetry:
         from repro.store.disk import DiskStore
 
         store = DiskStore(str(tmp_path / "corpus.sqlite"))
-        store.add_posting("burger", ("CuisineA", 5), 2)
-        store.finalize()
+        store.bulk_load([(("CuisineA", 5), {"burger": 2})])
         attempts = []
         real_connect = sqlite3.connect
 
@@ -492,8 +491,7 @@ class TestDiskReadRetry:
         from repro.store.disk import DiskStore
 
         store = DiskStore(str(tmp_path / "corpus.sqlite"))
-        store.add_posting("burger", ("CuisineA", 5), 2)
-        store.finalize()
+        store.bulk_load([(("CuisineA", 5), {"burger": 2})])
         monkeypatch.setattr(
             disk_module.sqlite3,
             "connect",

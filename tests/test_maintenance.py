@@ -59,11 +59,13 @@ def store_state(store):
 
 
 def seed_store(store):
-    store.add_posting("alpha", ("A", 1), 3)
-    store.add_posting("beta", ("A", 1), 1)
-    store.add_posting("alpha", ("B", 2), 2)
-    store.add_posting("gamma", ("C", 3), 5)
-    store.finalize()
+    store.bulk_load(
+        [
+            (("A", 1), {"alpha": 3, "beta": 1}),
+            (("B", 2), {"alpha": 2}),
+            (("C", 3), {"gamma": 5}),
+        ]
+    )
 
 
 BATCH = [
@@ -89,12 +91,9 @@ class TestApplyMutations:
         assert applied == 4  # the duplicate replace coalesced away
         # reference: the per-fragment path, one op at a time
         sequential.replace_fragment(("A", 1), {"alpha": 2, "delta": 4})
-        sequential.touch_fragment(("A", 1))
         sequential.remove_fragment(("C", 3))
         sequential.touch_fragment(("D", 4))
         sequential.replace_fragment(("B", 2), {"alpha": 7})
-        sequential.touch_fragment(("B", 2))
-        sequential.finalize()
         assert store_state(batched) == store_state(sequential)
         batched.close()
 
@@ -582,7 +581,7 @@ class TestSingleWriterMultiProcess:
         reader = DiskStore(path, read_only=True)
         assert [p.term_frequency for p in reader.postings("alpha")] == [3, 2]
         with pytest.raises(StoreError, match="read-only"):
-            reader.add_posting("x", ("A", 1), 1)
+            reader.bulk_load([(("X", 1), {"x": 1})])
         with pytest.raises(StoreError, match="read-only"):
             reader.apply_mutations([TouchFragment(("Z", 9))])
         # writer commits a batch; the reader sees it only as one atomic step

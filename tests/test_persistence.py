@@ -172,13 +172,13 @@ class TestIdentifierEncoding:
 
         store = DiskStore(str(tmp_path / "s.sqlite"))
         with pytest.raises(StoreError):
-            store.add_posting("kw", ("a", (1, 2)), 1)
+            store.bulk_load([(("a", (1, 2)), {"kw": 1})])
         with pytest.raises(StoreError):
             store.touch_fragment(("a", [1, 2]))
         store.close()
         # snapshots share the JSON round trip, so the writer rejects too
         memory = InMemoryStore()
-        memory.add_posting("kw", ("a", (1, 2)), 1)
+        memory.bulk_load([(("a", (1, 2)), {"kw": 1})])
         with pytest.raises(StoreError):
             memory.snapshot(str(tmp_path / "s.snapshot"))
 

@@ -451,19 +451,15 @@ class TestBlockLayout:
         assert per_backend[0] == per_backend[1]
 
     def test_incremental_writes_refresh_directories(self):
-        """add_posting / remove_fragment invalidate cached directories."""
+        """replace_fragment / remove_fragment invalidate cached directories."""
         for store_factory in (InMemoryStore, _disk_store):
             store = store_factory()
-            store.add_posting("alpha", ("A", 1), 3)
-            store.add_posting("alpha", ("B", 2), 2)
-            store.finalize()
+            store.bulk_load([(("A", 1), {"alpha": 3}), (("B", 2), {"alpha": 2})])
             _assert_block_directories_match(store)
             # growing B's size through another keyword stales alpha's maxima
-            store.add_posting("beta", ("B", 2), 9)
-            store.finalize()
+            store.replace_fragment(("B", 2), {"alpha": 2, "beta": 9})
             _assert_block_directories_match(store)
             store.remove_fragment(("A", 1))
-            store.finalize()
             _assert_block_directories_match(store)
             store.close()
 
@@ -552,13 +548,18 @@ class TestBlockCodec:
     )
     def test_fragment_terms_round_trip_keeps_the_maximum(self, pairs):
         from repro.store.disk import decode_fragment_terms, encode_fragment_terms
+        from repro.store.mutations import term_vector
 
-        blob = encode_fragment_terms(pairs)
-        assert decode_fragment_terms(blob) == pairs
-        # appending more pairs (the add_posting path) decodes to the
-        # concatenation — the blob format carries no count header
-        blob2 = blob + encode_fragment_terms([("extra", 7)])
-        assert decode_fragment_terms(blob2) == pairs + [("extra", 7)]
+        # duplicate keywords all count towards the size; the stored vector
+        # keeps each keyword once, at its highest count, in first-seen order
+        size, vector = term_vector(pairs)
+        assert size == sum(occurrences for _keyword, occurrences in pairs)
+        expected = {}
+        for keyword, occurrences in pairs:
+            expected[keyword] = max(occurrences, expected.get(keyword, 0))
+        assert vector == {keyword: count for keyword, count in expected.items() if count}
+        blob = encode_fragment_terms(vector)
+        assert list(decode_fragment_terms(blob).items()) == list(vector.items())
         with pytest.raises(ValueError):
             decode_fragment_terms(blob + b"\x85")
 

@@ -182,19 +182,19 @@ class TestResultCacheUnit:
         entry = CachedResult(results=(), keywords=("w",), dependencies=None, epoch=store.epoch)
         cache.put("key", entry)
         assert cache.get("key", store) is entry  # fast path: epoch unchanged
-        store.add_posting("other", ("x",), 1)  # any mutation at all
+        store.bulk_load([(("x",), {"other": 1})])  # any mutation at all
         assert cache.get("key", store) is None
         assert cache.statistics.stale_drops == 1
 
     def test_fresh_entry_restamps_to_current_epoch(self):
         store = InMemoryStore()
-        store.add_posting("w", ("a",), 1)
+        store.bulk_load([(("a",), {"w": 1})])
         cache = ResultCache(4)
         entry = CachedResult(
             results=(), keywords=("w",), dependencies=frozenset({("a",)}), epoch=store.epoch
         )
         cache.put("key", entry)
-        store.add_posting("unrelated", ("b",), 1)  # does not touch w or ("a",)
+        store.bulk_load([(("b",), {"unrelated": 1})])  # does not touch w or ("a",)
         assert cache.get("key", store) is entry
         assert entry.epoch == store.epoch
 
@@ -413,7 +413,7 @@ class TestStoreEpochs:
     @pytest.mark.parametrize("store", [InMemoryStore()])
     def test_mutations_bump_the_clock(self, store):
         assert store.epoch == 0
-        store.add_posting("w", ("a",), 2)
+        store.bulk_load([(("a",), {"w": 2})])
         first = store.epoch
         assert first > 0
         assert store.keyword_epoch("w") == first
@@ -425,7 +425,7 @@ class TestStoreEpochs:
 
     def test_replace_fragment_bumps_old_and_new_keywords(self):
         store = InMemoryStore()
-        store.add_posting("old", ("a",), 1)
+        store.bulk_load([(("a",), {"old": 1})])
         stamp = store.epoch
         store.replace_fragment(("a",), {"new": 2})
         assert store.keyword_epoch("old") > stamp
@@ -434,7 +434,7 @@ class TestStoreEpochs:
 
     def test_removed_fragment_keeps_its_final_epoch(self):
         store = InMemoryStore()
-        store.add_posting("w", ("a",), 1)
+        store.bulk_load([(("a",), {"w": 1})])
         store.remove_fragment(("a",))
         assert store.fragment_epoch(("a",)) == store.epoch
 
@@ -443,12 +443,11 @@ class TestStoreEpochs:
         """finalize's sort must never expose a mid-sort (emptied) list.
 
         Regression test: in-place list.sort leaves the list empty while it
-        runs, so readers racing a writer's add+finalize cycle used to observe
+        runs, so readers racing a writer's load+finalize cycle used to observe
         truncated postings and could cache them as fresh.
         """
         store = make_store()
-        for index in range(800):
-            store.add_posting("hot", ("f", index), 1 + index % 3)
+        store.bulk_load((("f", index), {"hot": 1 + index % 3}) for index in range(800))
         torn = []
         stop = threading.Event()
 
@@ -463,7 +462,7 @@ class TestStoreEpochs:
         for thread in readers:
             thread.start()
         for round_index in range(150):
-            store.add_posting("hot", ("g", round_index), 1)
+            store.bulk_load([(("g", round_index), {"hot": 1})])
             store.finalize()
         stop.set()
         for thread in readers:

@@ -174,9 +174,7 @@ class TestResolveStore:
 class TestStoreSemantics:
     def test_remove_fragment_touches_only_affected_lists(self, make_store):
         store = make_store()
-        store.add_posting("shared", ("a", 1), 3)
-        store.add_posting("shared", ("b", 2), 2)
-        store.add_posting("only-a", ("a", 1), 1)
+        store.bulk_load([(("a", 1), {"shared": 3, "only-a": 1}), (("b", 2), {"shared": 2})])
         store.remove_fragment(("a", 1))
         assert not store.has_fragment(("a", 1))
         assert store.fragment_frequency("only-a") == 0
@@ -186,17 +184,17 @@ class TestStoreSemantics:
 
     def test_replace_fragment_is_a_single_swap(self, make_store):
         store = make_store()
-        store.add_posting("old", ("a", 1), 5)
+        store.bulk_load([(("a", 1), {"old": 5})])
         store.replace_fragment(("a", 1), {"new": 2, "zero": 0})
         assert store.fragment_term_frequencies(("a", 1)) == {"new": 2}
         assert store.fragment_size(("a", 1)) == 2
         assert store.fragment_frequency("old") == 0
 
     def test_replace_fragment_accumulates_duplicate_pairs(self, make_store):
-        # pair form: keywords that canonicalise to the same term must sum,
-        # exactly as repeated add_posting calls would
+        # pair form: keywords that canonicalise to the same term stay
+        # separate postings and sum into the size
         store = make_store()
-        store.add_posting("stale", ("a", 1), 9)
+        store.bulk_load([(("a", 1), {"stale": 9})])
         store.replace_fragment(("a", 1), [("foo", 2), ("foo", 3)])
         assert store.fragment_size(("a", 1)) == 5
         assert [tuple(p) for p in store.postings("foo")] == [(("a", 1), 3), (("a", 1), 2)]
@@ -224,6 +222,206 @@ def test_index_replace_matches_add_for_case_colliding_keys():
     replaced.finalize()
     assert _index_as_dict(replaced) == _index_as_dict(reference)
     assert replaced.fragment_size(("a", 1)) == 5
+
+
+# ----------------------------------------------------------------------
+# the write vocabulary: bulk_load / apply_mutations / write_batch
+# ----------------------------------------------------------------------
+class _ClusterBackend:
+    """A 1-node, 4-partition cluster's facade store (closing closes the cluster)."""
+
+    def __init__(self):
+        from repro.cluster import SearchCluster
+
+        query = fooddb_search_query(build_fooddb())
+        self.cluster = SearchCluster.build(
+            query, SPEC, "example.com/Search", InMemoryStore(), nodes=1, partitions=4
+        )
+        self.store = self.cluster.store
+
+    def close(self):
+        self.cluster.close()
+
+
+@pytest.fixture(params=["memory", "disk", "cluster-1x4"])
+def make_backend(request):
+    """A factory of fresh empty stores of one kind; all closed at teardown."""
+    opened = []
+
+    def make() -> FragmentStore:
+        if request.param == "cluster-1x4":
+            backend = _ClusterBackend()
+            opened.append(backend)
+            return backend.store
+        store = InMemoryStore() if request.param == "memory" else _tmp_disk_store()
+        opened.append(store)
+        return store
+
+    make.kind = request.param
+    yield make
+    for backend in opened:
+        backend.close()
+
+
+def _store_state(store):
+    """Everything the write vocabulary must agree on, bit for bit."""
+    items = [
+        (keyword, tuple((p.document_id, p.term_frequency) for p in postings))
+        for keyword, postings in store.iter_items()
+    ]
+    directories = store.posting_blocks_for_many([keyword for keyword, _postings in items])
+    summaries = {
+        keyword: tuple(
+            (summary.count, summary.max_occurrences, summary.max_weight.hex())
+            for summary in blocks.summaries
+        )
+        for keyword, blocks in directories.items()
+    }
+    return items, store.fragment_sizes(), store.document_frequencies(), summaries
+
+
+pair_vectors = st.lists(
+    st.tuples(words, st.integers(min_value=0, max_value=4)), max_size=6
+)  # zero counts and repeated keywords included on purpose
+pair_corpora = st.lists(pair_vectors, min_size=1, max_size=9).map(
+    lambda vectors: [
+        ((f"Cuisine{index % 3}", 5 + index), vector) for index, vector in enumerate(vectors)
+    ]
+)
+
+
+class TestWriteVocabulary:
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(corpus=pair_corpora)
+    def test_every_way_in_builds_the_same_store(self, make_backend, corpus, tmp_path_factory):
+        reference = InMemoryStore()
+        reference.bulk_load(corpus)
+        expected = _store_state(reference)
+        chunks = [corpus[start : start + 3] for start in range(0, len(corpus), 3)]
+
+        whole = make_backend()
+        before = whole.epoch
+        assert whole.bulk_load(corpus) == len(corpus)
+        assert whole.epoch == before + 1  # a bare load ticks exactly once
+        assert _store_state(whole) == expected
+
+        chunked = make_backend()
+        for chunk in chunks:
+            before = chunked.epoch
+            chunked.bulk_load(chunk)
+            assert chunked.epoch == before + 1
+        assert _store_state(chunked) == expected
+
+        chained = make_backend()
+        before = chained.epoch
+        with chained.write_batch():
+            for chunk in chunks:
+                chained.bulk_load(chunk)
+        if make_backend.kind != "memory":  # memory has no scope to defer to
+            assert chained.epoch == before + 1  # one scope, one commit, one tick
+        assert _store_state(chained) == expected
+
+        one_by_one = make_backend()
+        for identifier, vector in corpus:
+            before = one_by_one.epoch
+            one_by_one.replace_fragment(identifier, vector)
+            assert one_by_one.epoch == before + 1
+        assert _store_state(one_by_one) == expected
+
+        path = whole.snapshot(str(tmp_path_factory.mktemp("vocabulary") / "store.snapshot"))
+        restored = FragmentStore.from_snapshot(path, store=make_backend())
+        assert _store_state(restored) == expected
+        assert restored.epochs.state() == whole.epochs.state()
+
+    def test_bulk_load_refuses_stored_and_twice_listed_fragments(self, make_backend):
+        store = make_backend()
+        store.bulk_load([(("Cuisine0", 5), {"burger": 2}), (("Cuisine1", 6), {})])
+        state, epoch = _store_state(store), store.epoch
+        for refused in (
+            [(("Cuisine2", 7), {"soup": 1}), (("Cuisine0", 5), {"fries": 1})],  # stored
+            [(("Cuisine2", 7), {"soup": 1}), (("Cuisine1", 6), {"fries": 1})],  # stored, empty
+            [(("Cuisine2", 7), {"soup": 1}), (("Cuisine2", 7), {"fries": 1})],  # listed twice
+        ):
+            with pytest.raises(StoreError):
+                store.bulk_load(refused)
+            # validated before anything is written — Cuisine2 never landed
+            assert _store_state(store) == state
+            assert store.epoch == epoch
+            assert not store.has_fragment(("Cuisine2", 7))
+
+    def test_empty_replace_registers_the_fragment(self, make_backend):
+        from repro.store import replace_op
+
+        for write in (
+            lambda store, identifier: store.replace_fragment(identifier, {}),
+            lambda store, identifier: store.replace_fragment(identifier, {"x": 0}),
+            lambda store, identifier: store.apply_mutations([replace_op(identifier, {})]),
+            lambda store, identifier: InvertedFragmentIndex(store=store).replace_fragment(
+                identifier, {}
+            ),
+            lambda store, identifier: InvertedFragmentIndex(store=store).replace_fragment(
+                identifier, {"X": 0}
+            ),
+        ):
+            store = make_backend()
+            store.bulk_load([(("Cuisine0", 5), {"burger": 2})])
+            for identifier in (("Cuisine0", 5), ("Cuisine1", 6)):  # stored, unknown
+                write(store, identifier)
+                assert store.has_fragment(identifier)
+                assert store.fragment_size(identifier) == 0
+                assert store.fragment_term_frequencies(identifier) == {}
+            assert store.document_frequencies() == {}
+            assert store.fragment_count() == 2
+
+    def test_failed_graph_batch_rolls_back_file_and_clock(self, tmp_path):
+        import sqlite3
+
+        path = str(tmp_path / "graph.sqlite")
+        store = DiskStore(path)
+        store.bulk_load([(("a", 1), {"kw": 2}), (("a", 2), {"kw": 1, "other": 3})])
+        state, clock = _store_state(store), store.epochs.state()
+
+        class Boom(RuntimeError):
+            pass
+
+        with pytest.raises(Boom):
+            with store.write_batch():
+                store.add_node(("a", 1), 2)
+                store.add_node(("a", 2), 4)
+                store.add_edge(("a", 1), ("a", 2))
+                assert store.edge_count() == 1  # the owner sees its staged rows
+                raise Boom()
+        assert store.node_count() == 0 and store.edge_count() == 0
+        assert store.epochs.state() == clock
+        assert _store_state(store) == state
+
+        def file_rows(table):
+            connection = sqlite3.connect(path)
+            try:
+                return connection.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+            finally:
+                connection.close()
+
+        assert file_rows("nodes") == 0 and file_rows("edges") == 0
+        # the next batch commits normally — and commits a compacted file
+        with store.write_batch():
+            store.replace_fragment(("a", 2), {"kw": 5})
+            store.add_node(("a", 2), 5)
+        assert store.epoch == clock[0] + 1
+        assert file_rows("staged_postings") == 0 and file_rows("pending_removals") == 0
+        assert file_rows("nodes") == 1
+        reference = InMemoryStore()
+        reference.bulk_load([(("a", 1), {"kw": 2}), (("a", 2), {"kw": 5})])
+        assert _store_state(store) == _store_state(reference)
+        store.close()
+        reopened = DiskStore(path, create=False)
+        assert _store_state(reopened) == _store_state(reference)
+        assert reopened.epoch == clock[0] + 1
+        reopened.close()
 
 
 class TestSearchResultContains:
@@ -318,7 +516,10 @@ class TestDiskStoreParity:
     def test_unserializable_identifier_rejected(self, tmp_path):
         store = DiskStore(str(tmp_path / "s.sqlite"))
         with pytest.raises(StoreError):
-            store.add_posting("kw", (object(),), 1)
+            store.bulk_load([((object(),), {"kw": 1})])
+        with pytest.raises(StoreError):
+            store.replace_fragment((object(),), {"kw": 1})
+        assert store.epoch == 0 and store.fragment_count() == 0
 
 
 # ----------------------------------------------------------------------
@@ -423,8 +624,7 @@ class TestSnapshots:
         path = str(tmp_path / "store.snapshot")
         populated.snapshot(path)
         first = open(path, "rb").read()
-        populated.add_posting("freshly-added", ("snapshot-frag", 1), 2)
-        populated.finalize()
+        populated.bulk_load([(("snapshot-frag", 1), {"freshly-added": 2})])
         populated.snapshot(path)
         second = open(path, "rb").read()
         assert first != second

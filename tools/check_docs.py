@@ -31,6 +31,7 @@ DOC_FILES = ("README.md", "docs/architecture.md", "docs/benchmarks.md")
 PUBLIC_API = {
     "repro.store": [
         "FragmentStore",
+        "FragmentStore.bulk_load",
         "FragmentStore.replace_fragment",
         "FragmentStore.apply_mutations",
         "FragmentStore.write_batch",
