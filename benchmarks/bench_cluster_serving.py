@@ -255,15 +255,17 @@ def run_replica_reads(source_store, queries, reference) -> Dict:
 def run_merge_counters(source_store, searcher) -> Dict:
     """Fan-out counters over hot-keyword queries at small k.
 
-    The planted hot keywords give every partition plenty of candidates,
-    and every opened stream scores all of its seeds at open.  The figure
-    that isolates what the *cluster* adds on top of the single store is
-    ``merge_overhead``: ``partials_discarded`` minus the single-store run's
-    own leftover queue (``seeds_scored + expansions - dequeues``) on the
-    identical queries.  It is exactly zero: pruned partitions hold no seed,
-    and the limit-bounded merge performs the single queue's dequeues and
-    expansions, no more and no fewer, so the partition queues' leftovers
-    add up to the one merged queue's.
+    The planted hot keywords give every partition plenty of candidates;
+    a stream scores a group's seeds only when it opens that group's token.
+    The figure that isolates what the *cluster* adds on top of the single
+    store is ``merge_overhead``: ``partials_discarded`` minus the
+    single-store run's own leftover queue on the identical queries —
+    ``seeds_scored + expansions - dequeues``, the exactly scored entries
+    pushed and not popped; group tokens are in none of the three counters,
+    nor in ``partials_discarded``.  It is exactly zero: pruned partitions
+    hold no seed, and the limit-bounded merge opens the single queue's
+    groups and performs its dequeues and expansions, no more and no fewer,
+    so the partition queues' leftovers add up to the one merged queue's.
     """
     nodes = max(NODE_COUNTS)
     cluster = SearchCluster.build(

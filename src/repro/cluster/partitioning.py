@@ -29,7 +29,7 @@ from __future__ import annotations
 import bisect
 from typing import List, Sequence, Set, Tuple
 
-from repro.core.fragment_graph import _condition_positions
+from repro.core.fragment_graph import FragmentGraph
 from repro.core.fragments import FragmentId
 from repro.db.query import ParameterizedPSJQuery
 from repro.mapreduce.job import _stable_hash
@@ -65,20 +65,18 @@ class GroupPartitioner:
         if partitions < 1:
             raise ValueError(f"partition count must be at least 1, got {partitions}")
         self.partitions = partitions
-        self._equality_positions, self._range_positions = _condition_positions(query)
+        self._group_key = FragmentGraph(query).group_key
 
     def group_key(self, identifier: FragmentId) -> Tuple:
         """The equality-group key that decides ``identifier``'s partition.
 
-        With a range condition in the query, fragments sharing this key can
-        be graph-adjacent and must co-locate; without one, no fragment is
-        adjacent to any other and the full identifier spreads the corpus
-        evenly.
+        :meth:`~repro.core.fragment_graph.FragmentGraph.group_key`, the one
+        definition: with a range condition in the query, fragments sharing
+        this key can be graph-adjacent and must co-locate; without one, no
+        fragment is adjacent to any other and the full identifier spreads
+        the corpus evenly.
         """
-        identifier = tuple(identifier)
-        if not self._range_positions:
-            return identifier
-        return tuple(identifier[position] for position in self._equality_positions)
+        return self._group_key(tuple(identifier))
 
     def partition_of(self, identifier: FragmentId) -> int:
         """The partition owning ``identifier`` (stable across processes)."""

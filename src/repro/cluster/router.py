@@ -21,15 +21,18 @@ and one merge:
    (``partitions_pruned`` — with a warm cache such a partition plays no
    part in the query at all, which is what lets a query survive a dead
    partition it does not consult).  Every remaining partition opens a
-   :class:`~repro.core.search.SearchStream` in parallel (its seeds are
-   read, scored and queued at open).
+   :class:`~repro.core.search.SearchStream` in parallel (its postings are
+   read and one ceiling-keyed token per equality group is queued; a group's
+   seeds are scored only if the merge ever reaches its token).
 3. **precedence merge** — every stream lives in the merge heap under an
    *admissible bound key*: initially the ceiling-derived
    ``(-bound, (0,))`` sentinel (the ``(0,)`` tie sorts before every
    content tie-break, see :data:`repro.core.search.QueueEntry`),
    afterwards :meth:`~repro.core.search.SearchStream.bound_key` (the
-   stream's exact queue head), both of which sort at-or-before every real
-   entry the partition could still dequeue.  A stream advances only when
+   stream's queue head, a page entry or a group token), both of which sort
+   at-or-before every result the partition could still *emit* — the same
+   argument one level up: a token is to its group what the sentinel is to
+   its partition.  A stream advances only when
    its key reaches the top of the heap — i.e. could win the next global
    dequeue — and then only up to the runner-up's limit.  The router
    repeatedly advances the top stream — in *batches*
@@ -43,8 +46,8 @@ and one merge:
    results), which is why merging per-node top-k lists by score alone
    would not be byte-identical, and replaying the dequeue order is.
    Streams with undrained work when the merge stops are counted in
-   ``nodes_short_circuited``, their scored-but-unranked candidates in
-   ``partials_discarded``.
+   ``nodes_short_circuited``, their scored-but-unranked candidates
+   (unopened group tokens are not candidates) in ``partials_discarded``.
 
 :class:`SearchCluster` owns the topology: consistent-hash partition
 assignment (:class:`~repro.cluster.HashRing`), replica placement with
@@ -127,6 +130,7 @@ NodeStoreSpec = Union[str, Callable[[str, int], FragmentStore]]
 _STREAM_SUM_FIELDS = (
     "seed_fragments",
     "seeds_scored",
+    "groups_pruned",
     "expansions",
     "dequeues",
     "pruned_expansions",
@@ -543,7 +547,7 @@ class QueryRouter:
         statistics.partitions_pruned = len(reachable) - len(contenders)
 
         # Round 2 — open the partial streams in parallel (scorer built,
-        # every seed scored and queued).  Cold queries pin round 1's copies.
+        # one token per group queued).  Cold queries pin round 1's copies.
         def open_stream(partition: int, hosted: HostedPartition) -> SearchStream:
             del partition
             return hosted.searcher.stream(

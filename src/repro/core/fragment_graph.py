@@ -98,7 +98,7 @@ class FragmentGraph:
 
             def group_then_range(identifier: FragmentId):
                 return (
-                    identifier_order(graph._equality_key(identifier)),
+                    identifier_order(graph.group_key(identifier)),
                     identifier_order(graph._range_key(identifier)),
                 )
 
@@ -111,7 +111,7 @@ class FragmentGraph:
                 if (
                     graph._range_positions
                     and previous is not None
-                    and graph._equality_key(previous) == graph._equality_key(identifier)
+                    and graph.group_key(previous) == graph.group_key(identifier)
                 ):
                     graph._store.add_edge(previous, identifier)
                 graph.comparisons += 1
@@ -157,14 +157,14 @@ class FragmentGraph:
             # No range parameter: every fragment is its own maximal db-page.
             return
 
-        group = self._equality_key(identifier)
+        group = self.group_key(identifier)
         below: Optional[FragmentId] = None
         above: Optional[FragmentId] = None
         for other in self._store.node_ids():
             if other == identifier:
                 continue
             self.comparisons += 1
-            if self._equality_key(other) != group:
+            if self.group_key(other) != group:
                 continue
             comparison = self._compare_range(other, identifier)
             if comparison < 0:
@@ -187,8 +187,16 @@ class FragmentGraph:
     # ------------------------------------------------------------------
     # ordering helpers
     # ------------------------------------------------------------------
-    def _equality_key(self, identifier: FragmentId) -> Tuple:
-        return tuple(identifier[position] for position in self._equality_positions)
+    def group_key(self, identifier: FragmentId) -> Tuple:
+        """The equality group of ``identifier``: its equality-bound components.
+
+        Edges only ever join fragments sharing this key, so a group is one
+        chain and every db-page lives inside one group.  With no range
+        condition there are no edges and the group is the fragment itself.
+        """
+        if not self._range_positions:
+            return identifier
+        return tuple(map(identifier.__getitem__, self._equality_positions))
 
     def _range_key(self, identifier: FragmentId) -> Tuple:
         return tuple(identifier[position] for position in self._range_positions)

@@ -19,16 +19,16 @@ incremental path for the top-k search hot loop: a pending db-page is carried
 as its per-query-keyword occurrence totals plus its size (all integers; the
 public value form is :class:`PageStats`), extending a page by one candidate
 fragment costs ``O(|W|)`` instead of ``O(|W| * |page|)``, and
-:meth:`seed_scores` scores every relevant fragment in one pass over the
-inverted lists.  Occurrence totals and sizes are exact integers and the
-keyword accumulation order matches :meth:`score`, so the incremental path
-produces bit-identical floats.
+:meth:`group_totals` sums the same occurrence maps per equality group for
+the search's group ceilings.  Occurrence totals and sizes are exact integers
+and the keyword accumulation order matches :meth:`score`, so the incremental
+path produces bit-identical floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.fragment_index import InvertedFragmentIndex
 from repro.core.fragments import FragmentId
@@ -108,11 +108,12 @@ class DashScorer:
             for keyword in self.keywords
         }
         self._posting_count = sum(len(gathered[keyword]) for keyword in self.keywords)
-        # Sizes are memoised as they are read: prime_sizes() batches the
-        # seeds' at stream open, expansion candidates fall back one at a
-        # time.  The memo is the only state a search writes, so a
-        # session-cached scorer is safe under concurrent searches.
+        # Sizes are memoised: a whole equality group's are handed over when
+        # the search opens it (prime_sizes), anything else is a point read on
+        # first use.  This memo and the group totals are all a search writes,
+        # both idempotently: a session-cached scorer is safe under concurrency.
         self._sizes: Dict[FragmentId, int] = {}
+        self._groups: Dict[Callable, List[Tuple[Tuple[FragmentId, ...], Tuple[int, ...]]]] = {}
         if idf_overrides is not None:
             # Applied before _idf_list, so every score and every admissible
             # bound uses the override consistently.
@@ -131,19 +132,9 @@ class DashScorer:
             self._sizes[identifier] = size
         return size
 
-    def prime_sizes(self, identifiers: Sequence[FragmentId]) -> None:
-        """Batch-fetch the sizes of ``identifiers`` not yet known.
-
-        One chunked/fanned-out store read instead of a per-fragment lookup —
-        the searcher calls this once with every seed at stream open.
-        Expansion candidates deliberately stay on the lazy :meth:`size_of`
-        fallback: the bound pruning skips most of them before their size is
-        ever needed, so batching there would read sizes the search then
-        throws away.
-        """
-        missing = [identifier for identifier in identifiers if identifier not in self._sizes]
-        if missing:
-            self._sizes.update(self.index.store.fragment_sizes_for(tuple(missing)))
+    def prime_sizes(self, sizes: Mapping[FragmentId, int]) -> None:
+        """Adopt sizes the caller already holds, sparing their point reads."""
+        self._sizes.update(sizes)
 
     def posting_count(self) -> int:
         """Total posting entries across the query keywords' inverted lists."""
@@ -194,23 +185,32 @@ class DashScorer:
     # ------------------------------------------------------------------
     # incremental page statistics (the top-k search hot path)
     # ------------------------------------------------------------------
-    def seed_scores(self) -> Dict[FragmentId, float]:
-        """Single-fragment scores of every relevant fragment, in one pass.
+    def group_totals(
+        self, group_key: Callable[[FragmentId], Tuple]
+    ) -> List[Tuple[Tuple[FragmentId, ...], Tuple[int, ...]]]:
+        """``(seeds, occurrence totals)`` of every group holding a seed.
 
-        Equivalent to ``{f: score([f]) for f in relevant_fragments()}`` but
-        computed directly from the gathered inverted lists, without building a
-        per-fragment occurrence dict for each seed.
+        ``group_key`` maps a fragment to its equality group
+        (:meth:`~repro.core.fragment_graph.FragmentGraph.group_key`).  No
+        page inside a group holds more of a query keyword than the group's
+        total, so ``score_bound(totals, ...)`` caps every page it can emit.
+        Kept per ``group_key``: a session-cached scorer pays once.
         """
-        scores: Dict[FragmentId, float] = {}
-        for keyword in self.keywords:
-            idf = self._idf[keyword]
-            for identifier, occurrences in self._occurrences[keyword].items():
-                size = self.size_of(identifier)
-                if size > 0:
-                    scores[identifier] = scores.get(identifier, 0.0) + (occurrences / size) * idf
-                else:
-                    scores.setdefault(identifier, 0.0)
-        return scores
+        cached = self._groups.get(group_key)
+        if cached is None:
+            groups: Dict[Tuple, Tuple[Dict[FragmentId, None], List[int]]] = {}
+            for position, per_fragment in enumerate(self._occ_maps):
+                for identifier, occurrences in per_fragment.items():
+                    key = group_key(identifier)
+                    group = groups.get(key)
+                    if group is None:
+                        group = groups[key] = ({}, [0] * len(self.keywords))
+                    group[0][identifier] = None  # an ordered set: one entry per seed
+                    group[1][position] += occurrences
+            cached = self._groups[group_key] = [
+                (tuple(seeds), tuple(totals)) for seeds, totals in groups.values()
+            ]
+        return cached
 
     # ------------------------------------------------------------------
     # admissible score bound (exact expansion pruning)

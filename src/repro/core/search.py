@@ -15,21 +15,27 @@ the ``k`` most relevant ones:
 
 Three implementation notes beyond the paper's pseudo-code:
 
-* **Seeding and exact expansion pruning** — every relevant fragment is a
-  seed, read and scored when the search opens: one batched
-  ``postings_for_many`` read, one batched size read, one ``heapify``.
-  (Skipping whole posting blocks on their per-block maxima was measured and
-  removed: Algorithm 1 only emits a page once it has grown to ``s``, so the
-  ``k``-th result's score sits below practically every un-expanded seed's
-  bound and no block is ever proven unneeded — see docs/architecture.md.)
-  Pruning fires in the expansion step instead: an irrelevant candidate can
-  never out-prefer a relevant one (the relevance tier dominates the
-  preference order), and a relevant candidate whose
+* **Group ceilings and exact expansion pruning** — the fragment graph never
+  links two equality groups, so a search is a merge of independent per-group
+  searches.  The queue opens with one *group token* per group holding a
+  relevant fragment, keyed by a ceiling on any page the group can emit (at
+  size ``>= s`` or as the whole chain, with at most the group's total
+  occurrences: ``score_bound(group totals, min(s, group size))``); the
+  group's seeds are scored and queued only when the token is dequeued.  No
+  emission scores above its group's token, so the leading token moves none:
+  results, scores and tie order equal eager seeding's, while a group whose
+  ceiling is below the ``k``-th emission is never scored, dequeued or
+  expanded (``SearchStatistics.groups_pruned``; docs/architecture.md has
+  the argument, and why per-block maxima could never prune here).
+  Inside a group, pruning fires in the expansion step: an irrelevant
+  candidate can never out-prefer a relevant one (the relevance tier
+  dominates the preference order), and a relevant candidate whose
   :meth:`~repro.core.scoring.DashScorer.score_bound` cannot beat the best
   candidate found so far is skipped without reading its size.  Both are
   exact — the bound is admissible — and counted in
   ``SearchStatistics.pruned_expansions``; ``tests/oracle.py``, a direct
-  transcription of the pseudo-code, pins results and dependencies.
+  transcription of the pseudo-code, pins the results, and the dependencies
+  from below (every member of a never-opened group is one too).
 * **Pending-page state** — a queued db-page is more than its member tuple:
   a :class:`_PendingPage` record rides with it from its first dequeue to its
   emission, holding the page's exact integer occurrence totals and size, its
@@ -41,7 +47,8 @@ Three implementation notes beyond the paper's pseudo-code:
   totals untouched.  Scores come out bit-identical to the reference
   :meth:`~repro.core.scoring.DashScorer.score`.
 * **Resumable streams** — the dequeue loop lives in :class:`SearchStream`:
-  ``bound_key`` exposes the exact key of the next dequeue and
+  ``bound_key`` exposes the queue head (admissible, not exact: opening a
+  group token queues seeds that sort before it) and
   ``next_result`` processes dequeues up to a caller-supplied key limit.
   ``search_detailed`` drains one stream; the cluster's
   :class:`~repro.cluster.QueryRouter` interleaves per-partition streams by
@@ -72,7 +79,9 @@ from repro.core.urls import UrlFormulator
 #: *content*, never from insertion order, so equal-score ties resolve
 #: identically for any backend and any partitioning of the corpus (the
 #: cluster router merges per-partition streams by exactly these keys, and
-#: its per-partition sentinel tie ``(0,)`` sorts before every queue tie).
+#: its per-partition sentinel tie ``(0,)`` sorts before both).  A group
+#: token is ``(negated ceiling, (-1, first seed's identifier order), seeds)``:
+#: before every real entry of equal score, and unique per group.
 QueueEntry = Tuple[float, Tuple, Tuple[FragmentId, ...]]
 
 #: ``SearchStatistics`` counters accumulated into lifetime totals — by every
@@ -82,6 +91,7 @@ LIFETIME_FIELDS = (
     "dequeues",
     "expansions",
     "seeds_scored",
+    "groups_pruned",
     "pruned_expansions",
     "nodes_queried",
     "nodes_short_circuited",
@@ -120,9 +130,10 @@ class SearchStatistics:
 
     ``seed_fragments`` is the total number of posting entries across the
     query keywords' inverted lists (``sum_w df_w`` — a fragment relevant to
-    two keywords counts twice); ``seeds_scored`` is the number of distinct
-    relevant fragments, every one of which is read, scored and queued when
-    the search opens.  ``pruned_expansions`` counts expansion-candidate
+    two keywords counts twice); ``seeds_scored`` is the number of relevant
+    fragments scored and queued — those of the equality groups the search
+    opened — and ``groups_pruned`` the number of groups whose token was still
+    queued when it stopped.  ``pruned_expansions`` counts expansion-candidate
     evaluations skipped by the relevance tier or by
     :meth:`~repro.core.scoring.DashScorer.score_bound`.
 
@@ -159,6 +170,7 @@ class SearchStatistics:
     elapsed_seconds: float = 0.0
     seed_fragments: int = 0
     seeds_scored: int = 0
+    groups_pruned: int = 0
     expansions: int = 0
     dequeues: int = 0
     pruned_expansions: int = 0
@@ -187,7 +199,9 @@ class DetailedSearch:
     """One search call's results plus its provenance.
 
     ``dependencies`` is every fragment the search *consulted* — seeds, page
-    members and every expansion candidate whose size or adjacency was read.
+    members and every expansion candidate whose size or adjacency was read —
+    plus every member of each equality group it never opened (the group was
+    ruled out on its total size, which any member can change).
     Together with ``keywords`` (canonicalised) and ``epoch`` (the store epoch
     observed before the first read) it is exactly what a serving cache needs
     to decide later whether the entry is still fresh: the result can only
@@ -204,25 +218,49 @@ class DetailedSearch:
 
 
 class _IdentifierCache:
-    """Order keys and sorted neighbour lists of one searcher, for one epoch.
+    """Order keys, neighbour lists and group sizes of one searcher, for one epoch.
 
-    Both depend only on the identifier and the adjacency at one epoch, so
-    every stream of a searcher — a session's, a bare ``search`` call's, the
-    cluster router's ``idf_overrides`` streams — shares one instance.
-    :meth:`TopKSearcher._shared_identifiers` replaces (never clears) it when
-    the epoch moves or the neighbour map outgrows its capacity: a search in
-    flight keeps a consistent cache, and neither map outlives the fragments
-    it was filled from.  Plain dict reads and writes — concurrent streams
-    may compute an entry twice, never see a torn one.
+    All depend only on identifiers, adjacency and fragment sizes at one
+    epoch, so every stream of a searcher — a session's, a bare ``search``
+    call's, the cluster router's ``idf_overrides`` streams — shares one
+    instance.  :meth:`TopKSearcher._shared_identifiers` replaces (never
+    clears) it when an epoch moves or the neighbour map outgrows its
+    capacity: a search in flight keeps a consistent cache, and no map
+    outlives the fragments it was filled from.  Plain dict reads and writes
+    — concurrent streams may compute an entry twice, never see a torn one.
     """
 
-    __slots__ = ("epoch", "orders", "neighbors", "_graph")
+    __slots__ = ("epoch", "orders", "neighbors", "group_keys", "_graph", "_index", "_groups")
 
-    def __init__(self, graph: FragmentGraph, epoch: int) -> None:
+    def __init__(self, graph: FragmentGraph, index: InvertedFragmentIndex, epoch: Tuple) -> None:
         self.epoch = epoch
         self.orders: Dict[FragmentId, Tuple] = {}
         self.neighbors: Dict[FragmentId, Tuple[FragmentId, ...]] = {}
+        self.group_keys: Dict[FragmentId, Tuple] = {}
         self._graph = graph
+        self._index = index
+        self._groups: Optional[Dict[Tuple, Tuple[int, Dict[FragmentId, int]]]] = None
+
+    def group(self, identifier: FragmentId) -> Tuple[int, Mapping[FragmentId, int]]:
+        """``(size, {member: size})`` of ``identifier``'s group; ``(0, {})`` without a size row.
+
+        From one ``fragment_sizes()`` pass, O(fragments), by the first search of an epoch.
+        """
+        if self._groups is None:
+            members: Dict[Tuple, Dict[FragmentId, int]] = {}
+            group_key = self._graph.group_key
+            for member, size in self._index.store.fragment_sizes().items():
+                key = self.group_keys[member] = group_key(member)
+                members.setdefault(key, {})[member] = size
+            self._groups = {key: (sum(sizes.values()), sizes) for key, sizes in members.items()}
+        return self._groups.get(self.group_key(identifier), (0, {}))
+
+    def group_key(self, identifier: FragmentId) -> Tuple:
+        """:meth:`~repro.core.fragment_graph.FragmentGraph.group_key`, memoised."""
+        key = self.group_keys.get(identifier)
+        if key is None:
+            key = self.group_keys[identifier] = self._graph.group_key(identifier)
+        return key
 
     def order(self, identifier: FragmentId) -> Tuple:
         """:func:`~repro.core.fragments.identifier_order`, memoised."""
@@ -332,7 +370,7 @@ class TopKSearcher:
         early_termination: bool = False,
     ) -> None:
         if early_termination is not False:
-            raise ValueError("block-bounded seeding was removed; every seed is scored at open")
+            raise ValueError("block-bounded seeding was removed; group tokens are the one path")
         self.index = index
         self.graph = graph
         self.url_formulator = url_formulator
@@ -343,7 +381,7 @@ class TopKSearcher:
         self._lifetime: Dict[str, int] = {"searches": 0}
         self._lifetime.update({field_name: 0 for field_name in LIFETIME_FIELDS})
         self._identifiers_lock = threading.Lock()
-        self._identifiers = _IdentifierCache(graph, graph.store.epoch)
+        self._identifiers = _IdentifierCache(graph, index, self._store_epochs())
 
     def lifetime_statistics(self) -> Dict[str, float]:
         """Running totals over every search this searcher has answered.
@@ -360,21 +398,24 @@ class TopKSearcher:
         )
         return snapshot
 
+    def _store_epochs(self) -> Tuple[int, int]:
+        return self.graph.store.epoch, self.index.store.epoch
+
     def _shared_identifiers(self) -> _IdentifierCache:
         """The shared identifier cache, revalidated for a search starting now.
 
-        Validated against the *graph's* store — adjacency is what goes stale
-        (an engine shares one store between index and graph, so this is the
-        epoch ``SearchSession.begin`` checks).  A read-only searcher would
-        otherwise accumulate a second copy of the store's adjacency; the
-        periodic capacity reset bounds memory at the cost of re-fetching hot
-        lists.
+        Validated against the stores it reads — the graph's for adjacency,
+        the index's for sizes (an engine shares one store between the two:
+        the epoch ``SearchSession.begin`` checks).  A read-only searcher
+        would otherwise accumulate a second copy of the store's adjacency;
+        the periodic capacity reset bounds memory at the cost of re-fetching
+        hot lists and one more size pass.
         """
-        epoch = self.graph.store.epoch
+        epochs = self._store_epochs()
         with self._identifiers_lock:
             cache = self._identifiers
-            if epoch != cache.epoch or len(cache.neighbors) > self.NEIGHBOR_CAPACITY:
-                cache = self._identifiers = _IdentifierCache(self.graph, epoch)
+            if epochs != cache.epoch or len(cache.neighbors) > self.NEIGHBOR_CAPACITY:
+                cache = self._identifiers = _IdentifierCache(self.graph, self.index, epochs)
             return cache
 
     # ------------------------------------------------------------------
@@ -460,23 +501,6 @@ class TopKSearcher:
                 self._lifetime[field_name] += getattr(statistics, field_name)
 
     # ------------------------------------------------------------------
-    def _seed_queue(
-        self, seeds: Tuple[FragmentId, ...], scorer: DashScorer, order
-    ) -> List[QueueEntry]:
-        """Build the initial priority queue of single-fragment pending pages.
-
-        Heap pops are ordered purely by the content-derived ``(-score, (0,
-        identifier order))`` keys.
-        """
-        scorer.prime_sizes(seeds)  # one batched read, not one per seed
-        seed_scores = scorer.seed_scores()
-        queue = [
-            (-seed_scores[identifier], (0, order(identifier)), (identifier,))
-            for identifier in seeds
-        ]
-        heapq.heapify(queue)
-        return queue
-
     def _make_result(
         self, fragments: Tuple[FragmentId, ...], score: float, size: int
     ) -> SearchResult:
@@ -530,8 +554,9 @@ class SearchStream:
     the degenerate single-stream case and stays byte-identical to the
     pre-stream implementation.
 
-    ``consulted`` collects every fragment the search reads — every seed,
-    page members and every evaluated expansion candidate.
+    ``consulted`` collects every fragment the search reads — opened groups'
+    seeds, page members, every evaluated expansion candidate — and, at
+    :meth:`finalize`, every member of the groups it never opened.
     """
 
     def __init__(
@@ -565,10 +590,14 @@ class SearchStream:
         self._pending: Dict[int, _PendingPage] = {}
         self._finalized = False
         self._started = time.perf_counter()
-        seeds = scorer.relevant_fragments()
-        self.consulted.update(seeds)
-        self._queue: List[QueueEntry] = searcher._seed_queue(seeds, scorer, identifiers.order)
-        self.statistics.seeds_scored = len(seeds)
+        self._queue: List[QueueEntry] = []  # opens with one token per group holding a seed
+        for seeds, totals in scorer.group_totals(identifiers.group_key):
+            # At least 1, so a group with no size row is opened, not ruled out.
+            least_size = max(1, min(size_threshold, identifiers.group(seeds[0])[0]))
+            ceiling = scorer.score_bound(totals, least_size)
+            self._queue.append((-ceiling, (-1, identifiers.order(seeds[0])), seeds))
+        heapq.heapify(self._queue)
+        self._unopened = len(self._queue)
 
     @property
     def exhausted(self) -> bool:
@@ -581,17 +610,18 @@ class SearchStream:
 
     @property
     def pending_candidates(self) -> int:
-        """Exactly scored queue entries not yet dequeued."""
-        return len(self._queue)
+        """Exactly scored queue entries not yet dequeued (tokens excluded)."""
+        return len(self._queue) - self._unopened
 
     def bound_key(self) -> Optional[QueueEntry]:
-        """The entry the next dequeue would pop, or ``None`` when done.
+        """The queue head — a page entry or a group token — or ``None`` when done.
 
-        Every seed is queued at open, so the head is exact: no future
-        dequeue of this stream can compare before it.  A scatter-gather
-        merge keeps each stream in its heap under this key and advances a
-        stream only while its key is the global minimum (up to the
-        runner-up ``limit`` of :meth:`next_result`).
+        Admissible, not exact: every *emission* still to come sorts
+        at-or-after it, but opening a token queues seeds that sort before
+        the token did.  A scatter-gather merge keeps each stream in its heap
+        under this key and advances a stream only while its key is the
+        global minimum (up to the runner-up ``limit`` of
+        :meth:`next_result`), re-reading the key after every advance.
         """
         return None if self.exhausted else self._queue[0]
 
@@ -614,14 +644,17 @@ class SearchStream:
                 return None
             if limit is not None and self._queue[0] > limit:
                 return None
-            negative_score, _tie, fragments = heapq.heappop(self._queue)
+            negative_score, tie, fragments = heapq.heappop(self._queue)
+            if tie[0] < 0:
+                self._open_group(fragments)
+                continue
             statistics.dequeues += 1
             if len(fragments) == 1:
                 if fragments[0] in self._consumed:
                     # This seed was absorbed into an expanded db-page already
                     # (the paper removes such entries from the queue).
                     continue
-                # Its size was primed at open: no store read here.
+                # Its size was primed when its group opened: no store read.
                 occurrences, size = self.scorer.fragment_totals(fragments[0])
                 key = self._identifiers.order(fragments[0])
                 page = _PendingPage(occurrences, size, key, fragments[0])
@@ -636,6 +669,17 @@ class SearchStream:
             members, score = expanded
             self._pending[id(members)] = page
             heapq.heappush(self._queue, (-score, (1, page.orders), members))
+
+    def _open_group(self, seeds: Tuple[FragmentId, ...]) -> None:
+        """Score and queue ``seeds``, one group's; prime every member's size."""
+        scorer, order = self.scorer, self._identifiers.order
+        scorer.prime_sizes(self._identifiers.group(seeds[0])[1])
+        for seed in seeds:
+            score = scorer.score_totals(*scorer.fragment_totals(seed))
+            heapq.heappush(self._queue, (-score, (0, order(seed)), (seed,)))
+        self.consulted.update(seeds)
+        self.statistics.seeds_scored += len(seeds)
+        self._unopened -= 1
 
     def _expand(
         self, page: _PendingPage, fragments: Tuple[FragmentId, ...]
@@ -733,6 +777,12 @@ class SearchStream:
         """Close the stream and return its statistics (idempotent)."""
         if not self._finalized:
             self._finalized = True
+            # A group never opened was ruled out on its total size, which
+            # any member can change: all of them are dependencies.
+            for _ceiling, tie, seeds in self._queue:
+                if tie[0] < 0:
+                    self.consulted.update(self._identifiers.group(seeds[0])[1])
+            self.statistics.groups_pruned = self._unopened
             self.statistics.results = len(self.results)
             self.statistics.elapsed_seconds = time.perf_counter() - self._started
         return self.statistics

@@ -706,7 +706,10 @@ class TestPartitionPruning:
             detailed = cluster.router.search_detailed(["saffron"], k=10)
             statistics = detailed.statistics
             relevant = sum(1 for terms in fragments.values() if "saffron" in terms)
+            # one group holds every seed; it is opened, so all of them are scored
+            assert statistics.groups_pruned == 0
             assert statistics.seeds_scored == relevant
+            assert statistics.seed_fragments == relevant
             assert statistics.complete
         finally:
             cluster.close()

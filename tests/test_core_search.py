@@ -57,6 +57,22 @@ class TestDashScorer:
         assert scorer.score([("American", 12)]) > scorer.score([("American", 10)]) * 0  # defined
         assert scorer.page_occurrences([("American", 12)]) == {"burger": 1, "fries": 1}
 
+    def test_group_totals_are_kept_per_grouping(self, built):
+        """A second grouping function gets its own totals, not the first's."""
+        index, graph, _formulator, _searcher = built
+        scorer = DashScorer(index, ["burger"])
+        by_group = scorer.group_totals(graph.group_key)
+        assert sorted(by_group) == [
+            ((("American", 10), ("American", 12)), (3,)),
+            ((("Thai", 10),), (1,)),
+        ]
+        assert scorer.group_totals(graph.group_key) is by_group
+        assert sorted(scorer.group_totals(lambda identifier: identifier)) == [
+            ((("American", 10),), (2,)),
+            ((("American", 12),), (1,)),
+            ((("Thai", 10),), (1,)),
+        ]
+
     def test_unknown_keywords_score_zero(self, built):
         index, _graph, _formulator, _searcher = built
         scorer = DashScorer(index, ["zzz"])
@@ -223,11 +239,41 @@ class TestIdentifierCaches:
             heads.append(stream.bound_key())
             stream.next_result(heads[-1])
         assert stream.results[0].fragments == tuple(chain)
-        assert any(len(members) > 1 for _score, _tie, members in heads)
-        for _score, tie, members in heads:
+        # the stream opens on its one group's token: every seed behind it
+        _ceiling, tie, seeds = heads[0]
+        assert tie == (-1, identifier_order(seeds[0])) and set(seeds) == set(chain)
+        assert any(tie[0] == 1 for _score, tie, _members in heads[1:])
+        for _score, tie, members in heads[1:]:
             keys = tuple(identifier_order(member) for member in members)
             assert keys == tuple(sorted(keys))
             assert tie == ((0, keys[0]) if len(members) == 1 else (1, keys))
+
+    def test_tokens_seeds_and_pages_never_compare_member_tuples(self, search_query):
+        """Mixed-type range values make member tuples incomparable (``None <
+        True`` raises): every pair of queue entries, tokens included, must be
+        decided by score and tie alone — even at equal scores."""
+        values = [None, True, 2, 2.5, "10", "9"]
+        fragments = {
+            (group, value): {"hot": 1 + at, "pad": 2}
+            for group in ("X", "Y")
+            for at, value in enumerate(values)
+        }
+        _index, _graph, searcher = _one_store_searcher(search_query, fragments)
+        with pytest.raises(TypeError):
+            (("X", None),) < (("X", True),)
+        stream = searcher.stream(["hot"], 2, 1000)
+        seen = {}
+        while stream.bound_key() is not None:
+            for entry in stream._queue:
+                seen[id(entry)] = entry
+            stream.next_result(stream.bound_key())
+        kinds = {tie[0] for _score, tie, _members in seen.values()}
+        assert kinds == {-1, 0, 1}
+        entries = list(seen.values())
+        for _score, left_tie, left in entries:
+            for _score, right_tie, right in entries:
+                if left_tie != right_tie:  # equal ties: the same page by two routes
+                    assert ((0.0, left_tie, left) < (0.0, right_tie, right)) == (left_tie < right_tie)
 
     def test_caches_stay_bounded_across_insert_delete_rounds(self, search_query):
         fragments = {("Cuisine00", 5 + at): {"hot": 1, "pad": 3} for at in range(12)}
@@ -280,16 +326,28 @@ class TestSearchStreamBatching:
         assert self._comparable(batch) == self._comparable(singles)
 
     def test_batch_respects_limit(self, built):
-        # size_threshold=1 keeps every dequeue a direct emission (no
-        # expansion re-enqueues), so the head entry must emit within its
-        # own limit and everything left behind must exceed it.
+        # size_threshold=1 keeps every dequeue of a page a direct emission
+        # (no expansion re-enqueues), so a page at the head must emit within
+        # its own limit; a group token at the head opens its group and emits
+        # nothing, because every seed sorts after its group's ceiling.
+        # Either way everything left behind exceeds the limit.
         _index, _graph, _formulator, searcher = built
         stream = searcher.stream(["burger"], 5, 1)
-        head = stream.bound_key()
-        batch = stream.next_results(head, 5)
-        assert len(batch) >= 1
-        refreshed = stream.bound_key()
-        assert refreshed is None or refreshed > head
+        assert stream.bound_key()[1][0] == -1
+        assert stream.pending_candidates == 0  # tokens are not scored candidates
+        emitted = []
+        while stream.bound_key() is not None:
+            head = stream.bound_key()
+            pending = stream.pending_candidates
+            batch = stream.next_results(head, 5)
+            if head[1][0] == -1:
+                assert batch == [] and stream.pending_candidates > pending
+            else:
+                assert len(batch) >= 1
+            emitted.extend(batch)
+            refreshed = stream.bound_key()
+            assert refreshed is None or refreshed > head
+        assert len(emitted) == 3 and stream.pending_candidates == 0
 
     def test_batch_stops_at_max_results(self, built):
         _index, _graph, _formulator, searcher = built

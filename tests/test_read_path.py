@@ -4,10 +4,11 @@ top-k searcher pinned to the independent oracle.
 Three guarantees are load-bearing:
 
 * **Exactness** — the searcher must return byte-identical results (URLs,
-  scores, fragments, sizes) and dependencies to ``tests/oracle.py`` on
-  every backend, for randomized corpora and queries (hypothesis) as well as
-  the running examples.  Pruning that changes output is a correctness bug,
-  not a performance trade.
+  scores, fragments, sizes) to ``tests/oracle.py`` on every backend, for
+  randomized corpora and queries (hypothesis) as well as the running
+  examples, and dependencies that contain the oracle's and stay *sound*: a
+  mutation outside them never changes the answer.  Pruning that changes
+  output is a correctness bug, not a performance trade.
 * **Batched reads agree with the per-item reads** — ``postings_for_many``
   and ``fragment_sizes_for`` must answer exactly like their singular
   counterparts on every backend, before and after mutations.
@@ -28,11 +29,14 @@ import pytest
 from oracle import oracle_search
 from repro.core.fragment_graph import FragmentGraph
 from repro.core.fragment_index import InvertedFragmentIndex
+from repro.core.fragments import identifier_order
+from repro.core.scoring import DashScorer
 from repro.core.search import TopKSearcher
 from repro.core.urls import UrlFormulator
 from repro.datasets.fooddb import build_fooddb, fooddb_search_query
 from repro.serving import SearchService
 from repro.store import DiskStore, InMemoryStore
+from repro.store.mutations import replace_op
 from repro.webapp.request import QueryStringSpec
 
 QUERY = fooddb_search_query(build_fooddb())
@@ -85,8 +89,60 @@ def _random_fragments(seed: int, count: int):
     return fragments
 
 
+def _random_keywords(query_seed: int):
+    import random
+
+    rng = random.Random(query_seed)
+    vocabulary = [f"kw{index:02d}" for index in range(30)] + ["unknown"]
+    return rng, rng.sample(vocabulary, rng.randint(1, 3))
+
+
+#: Three two-fragment groups for ``["hot"]``, ``k=1``, ``s=50``: A's and C's
+#: padding drowns their seed, so B wins (3/60) and C (1/100) is never opened.
+THREE_GROUPS = {
+    ("A", 1): {"hot": 5, "x": 5},
+    ("A", 2): {"pad": 100},
+    ("B", 1): {"hot": 3, "y": 27},
+    ("B", 2): {"z": 30},
+    ("C", 1): {"hot": 1, "w": 9},
+    ("C", 2): {"pad": 90},
+}
+
+
 class TestExpansionPruning:
     """The pruning the searcher does perform is counted, on any backend."""
+
+    @pytest.mark.parametrize("store_factory", [InMemoryStore, _disk_store])
+    def test_group_ceiling_pruning_is_reported(self, store_factory):
+        """A fixed corpus where most groups cannot reach the top 2: their
+        tokens stay queued, so their seeds are never scored."""
+        fragments = _random_fragments(seed=3, count=90)
+        _, _, searcher = _build(fragments, store_factory())
+        keywords = ["kw00", "kw01", "kw02"]
+        detailed = searcher.search_detailed(keywords, k=2, size_threshold=10)
+        statistics = detailed.statistics
+        seeds = {f for f, terms in fragments.items() if set(terms) & set(keywords)}
+        assert statistics.groups_pruned > 0
+        assert 0 < statistics.seeds_scored < len(seeds)
+        assert searcher.lifetime_statistics()["groups_pruned"] == statistics.groups_pruned
+        assert seeds <= detailed.dependencies  # scored or not, every seed is one
+
+    @pytest.mark.parametrize("store_factory", [InMemoryStore, _disk_store])
+    def test_a_seed_with_no_size_row_is_opened_not_ruled_out(self, store_factory):
+        """The size table is read after the postings, so a concurrent batch
+        can leave a seed's group out of it.  Its ceiling must then fail safe
+        (as high as a one-keyword page's), never 0: hiding the winner's rows
+        still finds the winner, its sizes falling back to point reads."""
+        index, graph, searcher = _build(THREE_GROUPS, store_factory())
+        expected, _ = oracle_search(index, graph, ["hot"], 1, 50)
+        assert [fragments for fragments, _score, _size in expected] == [(("B", 1), ("B", 2))]
+        fragment_sizes = index.store.fragment_sizes
+        index.store.fragment_sizes = lambda: {
+            f: size for f, size in fragment_sizes().items() if f[0] != "B"
+        }
+        detailed = searcher.search_detailed(["hot"], k=1, size_threshold=50)
+        assert [(r.fragments, r.score, r.size) for r in detailed.results] == expected
+        index.store.close()
 
     def test_expansion_tier_pruning_is_reported(self):
         """Irrelevant neighbours are skipped once a relevant candidate exists."""
@@ -152,16 +208,94 @@ class TestIndependentOracle:
     def test_matches_the_oracle_on_results_and_dependencies(
         self, fragments, query_seed, k, size_threshold, store_factory
     ):
-        import random
-
-        rng = random.Random(query_seed)
-        vocabulary = [f"kw{index:02d}" for index in range(30)] + ["unknown"]
-        keywords = rng.sample(vocabulary, rng.randint(1, 3))
+        _rng, keywords = _random_keywords(query_seed)
         index, graph, searcher = _build(fragments, store_factory())
         expected, dependencies = oracle_search(index, graph, keywords, k, size_threshold)
         detailed = searcher.search_detailed(keywords, k=k, size_threshold=size_threshold)
         assert [(r.fragments, r.score, r.size) for r in detailed.results] == expected
-        assert detailed.dependencies == dependencies
+        # a superset: every member of a never-opened group is a dependency too
+        assert detailed.dependencies >= dependencies
+
+    @settings(RELAXED, max_examples=40)
+    @given(
+        fragments=corpus_strategy,
+        query_seed=st.integers(min_value=0, max_value=10_000),
+        k=st.integers(min_value=1, max_value=4),
+        size_threshold=st.sampled_from([10, 60, 200]),  # 200: above every group's size
+        store_factory=st.sampled_from([InMemoryStore, _disk_store]),
+        mutation=st.sampled_from(["replace", "remove", "add"]),
+    )
+    def test_a_mutation_outside_the_dependencies_leaves_the_answer_alone(
+        self, fragments, query_seed, k, size_threshold, store_factory, mutation
+    ):
+        """The soundness the serving cache rests on.  A never-opened group
+        was ruled out on its total size, so shrinking (or removing) any
+        member — relevant or not — could let it into the top k: unless every
+        member is a dependency, this property fails."""
+        rng, keywords = _random_keywords(query_seed)
+        index, graph, searcher = _build(fragments, store_factory())
+        service = SearchService(searcher, cache_size=8, workers=1)
+        parameters = {"k": k, "size_threshold": size_threshold}
+        before = _result_tuples(service.search(keywords, **parameters).results)
+        detailed = searcher.search_detailed(keywords, **parameters)
+        assert _result_tuples(detailed.results) == before
+        filler = {"pad": rng.choice([1, 1, 9])}  # never a query keyword; mostly a shrink
+        if mutation == "add":
+            group, _budget = rng.choice(sorted(fragments))
+            target = (rng.choice([group, "CuisineNew"]), rng.choice([1, 99]))
+        else:
+            outside = sorted(set(fragments) - detailed.dependencies)
+            if not outside:
+                return
+            # prefer the groups a search could have judged: those holding a seed
+            seeded = {graph.group_key(f) for f in DashScorer(index, keywords).relevant_fragments()}
+            target = rng.choice([f for f in outside if graph.group_key(f) in seeded] or outside)
+        with index.store.write_batch():
+            if mutation == "remove":
+                index.remove_fragment(target)
+                graph.remove_fragment(target)
+            else:
+                index.store.apply_mutations([replace_op(target, filler)])
+                if mutation == "add":
+                    graph.add_fragment(target, sum(filler.values()))
+        expected, _ = oracle_search(index, graph, keywords, k, size_threshold)
+        after = searcher.search_detailed(keywords, **parameters)
+        assert [(r.fragments, r.score, r.size) for r in after.results] == expected
+        # a cache hit or a recomputation, the service may not serve anything else
+        assert _result_tuples(service.search(keywords, **parameters).results) == _result_tuples(
+            after.results
+        )
+        # a new fragment changes its new neighbours' adjacency: only one that
+        # lands beside no dependency is "outside" them
+        if mutation != "add" or not set(graph.neighbors(target)) & detailed.dependencies:
+            assert _result_tuples(after.results) == before
+        service.close()
+        index.store.close()
+
+    @pytest.mark.parametrize("store_factory", [InMemoryStore, _disk_store])
+    def test_a_shrunk_irrelevant_member_reopens_its_group(self, store_factory):
+        """Group C is ruled out while its padding keeps it above ``s`` and
+        wins once a batch shrinks the padding: the size table is per epoch,
+        and the cached answer depended on the padding it never scored."""
+        index, graph, searcher = _build(THREE_GROUPS, store_factory())
+        service = SearchService(searcher, cache_size=8, workers=1)
+        for winner in ("B", "C"):
+            expected, _ = oracle_search(index, graph, ["hot"], 1, 50)
+            assert [fragments for fragments, _score, _size in expected] == [
+                ((winner, 1), (winner, 2))
+            ]
+            detailed = searcher.search_detailed(["hot"], k=1, size_threshold=50)
+            assert [(r.fragments, r.score, r.size) for r in detailed.results] == expected
+            served = service.search(["hot"], k=1, size_threshold=50)
+            assert _result_tuples(served.results) == _result_tuples(detailed.results)
+            if winner == "B":
+                assert detailed.statistics.groups_pruned == 1
+                assert {("C", 1), ("C", 2)} <= detailed.dependencies
+                with index.store.write_batch():
+                    index.store.apply_mutations([replace_op(("C", 2), {"pad": 2})])
+                    graph.update_keyword_count(("C", 2), 2)
+        service.close()
+        index.store.close()
 
 
 # ----------------------------------------------------------------------
@@ -179,13 +313,7 @@ class TestAdmissibleBounds:
     def test_expansion_score_bound_is_admissible(self, fragments, query_seed, store_factory):
         """The call ``_expand`` makes: a page extended by one candidate,
         bounded from the candidate's occurrence total instead of its size."""
-        import random
-
-        from repro.core.scoring import DashScorer
-
-        rng = random.Random(query_seed)
-        vocabulary = [f"kw{index:02d}" for index in range(30)] + ["unknown"]
-        keywords = rng.sample(vocabulary, rng.randint(1, 3))
+        rng, keywords = _random_keywords(query_seed)
         index, _, _ = _build(fragments, store_factory())
         scorer = DashScorer(index, keywords)
         identifiers = list(fragments)
@@ -197,6 +325,35 @@ class TestAdmissibleBounds:
             least_size = stats.size + sum(extended) - sum(stats.occurrences)
             exact = scorer.score_totals(extended, stats.size + scorer.size_of(candidate))
             assert scorer.score_bound(extended, least_size) >= exact
+
+
+    @RELAXED
+    @given(
+        fragments=corpus_strategy,
+        query_seed=st.integers(min_value=0, max_value=10_000),
+        size_threshold=st.sampled_from([1, 10, 60, 1000]),
+        store_factory=st.sampled_from([InMemoryStore, _disk_store]),
+        overridden=st.booleans(),
+    )
+    def test_group_ceiling_caps_every_page_the_group_emits(
+        self, fragments, query_seed, size_threshold, store_factory, overridden
+    ):
+        """The tokens a stream opens with, against every page the oracle
+        emits when it runs each group dry (``k`` = every fragment) — also
+        when the router substitutes its global IDF."""
+        rng, keywords = _random_keywords(query_seed)
+        index, graph, searcher = _build(fragments, store_factory())
+        overrides = {keyword: rng.random() for keyword in keywords} if overridden else None
+        stream = searcher.stream(keywords, 1, size_threshold, idf_overrides=overrides)
+        ceilings = {}
+        for negated, tie, seeds in stream._queue:
+            assert tie == (-1, identifier_order(seeds[0]))
+            ceilings[graph.group_key(seeds[0])] = -negated
+        emitted, _ = oracle_search(index, graph, keywords, len(fragments), size_threshold)
+        assert {graph.group_key(page[0]) for page, _score, _size in emitted} == set(ceilings)
+        for page, _score, _size in emitted:
+            assert stream.scorer.score(page) <= ceilings[graph.group_key(page[0])]
+        index.store.close()
 
 
 class TestBatchedReads:

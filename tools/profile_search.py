@@ -17,10 +17,11 @@ Usage::
 
 ``--sort`` picks the pstats ordering (``cumulative``, the default, or
 ``tottime`` — self time, which is what names a hot loop body).  Every report
-ends with ``dequeues=<n> us_per_dequeue=<x>``: the same query loop timed once
-more with the profiler *off*, divided by the priority-queue dequeues it
-performed — the unit cost of Algorithm 1's expand-and-requeue step, readable
-without a pstats table.
+ends with ``dequeues=<n> us_per_dequeue=<x> groups=<n> pruned=<m>``: the same
+query loop timed once more with the profiler *off*, divided by the
+priority-queue dequeues it performed — the unit cost of Algorithm 1's
+expand-and-requeue step, readable without a pstats table — and how many of
+the equality groups holding a seed the loop never had to open.
 
 ``--backend`` accepts ``seed`` (the pre-store baseline searcher), ``memory``
 and ``disk``.  ``--compare a,b,...`` profiles every listed backend in one
@@ -61,11 +62,19 @@ from bench_store_backends import (  # noqa: E402  (path set up above)
 )
 
 
-def _profile(run_passes, lifetime_statistics, sort: str, top: int) -> str:
+def _seeded_groups(index, graph, queries) -> int:
+    """Equality groups holding a seed, summed over ``queries``."""
+    from repro.core.scoring import DashScorer
+
+    return sum(len(DashScorer(index, query).group_totals(graph.group_key)) for query in queries)
+
+
+def _profile(run_passes, lifetime_statistics, sort: str, top: int, groups: int) -> str:
     """Profile ``run_passes()``, then time it unprofiled; pstats table + unit-cost line.
 
     ``lifetime_statistics`` is the searcher's (or router's) running-totals
-    accessor, ``None`` for the seed replica, which counts nothing.
+    accessor, ``None`` for the seed replica, which counts nothing; ``groups``
+    is how many group tokens one ``run_passes()`` opens its streams with.
     """
     profiler = cProfile.Profile()
     profiler.enable()
@@ -75,13 +84,16 @@ def _profile(run_passes, lifetime_statistics, sort: str, top: int) -> str:
     pstats.Stats(profiler, stream=buffer).sort_stats(sort).print_stats(top)
     if lifetime_statistics is None:
         return buffer.getvalue()
-    before = lifetime_statistics()["dequeues"]
+    before = lifetime_statistics()
     started = time.perf_counter()
     run_passes()
     elapsed = time.perf_counter() - started
-    dequeues = int(lifetime_statistics()["dequeues"] - before)
+    after = lifetime_statistics()
+    dequeues = int(after["dequeues"] - before["dequeues"])
+    pruned = int(after["groups_pruned"] - before["groups_pruned"])
     return buffer.getvalue() + (
-        f"dequeues={dequeues} us_per_dequeue={elapsed * 1e6 / max(1, dequeues):.2f}\n"
+        f"dequeues={dequeues} us_per_dequeue={elapsed * 1e6 / max(1, dequeues):.2f} "
+        f"groups={groups} pruned={pruned}\n"
     )
 
 
@@ -107,7 +119,12 @@ def profile_backend(
                 for size_threshold in SIZE_THRESHOLDS:
                     searcher.search(keywords, k=K, size_threshold=size_threshold)
 
-    table = _profile(run_passes, getattr(searcher, "lifetime_statistics", None), sort, top)
+    statistics = getattr(searcher, "lifetime_statistics", None)
+    groups = 0
+    if statistics is not None:
+        per_pass = _seeded_groups(searcher.index, searcher.graph, queries)
+        groups = repeats * len(SIZE_THRESHOLDS) * per_pass
+    table = _profile(run_passes, statistics, sort, top, groups)
 
     store = getattr(getattr(searcher, "index", None), "store", None)
     if store is not None:
@@ -150,7 +167,7 @@ def profile_cluster(
     replicas = int(options.get("replicas", "1"))
     corpus = synthetic_fragments(fragments)
     source_store = InMemoryStore()
-    index, _graph = build_backend(corpus, source_store)
+    index, graph = build_backend(corpus, source_store)
     cluster = SearchCluster.build(
         QUERY, SPEC, URI, source_store, nodes=nodes, replicas=replicas
     )
@@ -167,7 +184,8 @@ def profile_cluster(
                 for size_threshold in SIZE_THRESHOLDS:
                     router.search(keywords, k=K, size_threshold=size_threshold)
 
-    table = _profile(run_passes, router.lifetime_statistics, sort, top)
+    groups = repeats * len(SIZE_THRESHOLDS) * _seeded_groups(index, graph, queries)
+    table = _profile(run_passes, router.lifetime_statistics, sort, top, groups)
 
     lifetime = router.lifetime_statistics()
     cache = router.term_stats.statistics()
