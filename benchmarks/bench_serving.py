@@ -108,10 +108,6 @@ class BlockingReadStore(InMemoryStore):
         self._block()
         return super().fragment_sizes_for(identifiers)
 
-    def fragment_size(self, identifier):
-        self._block()
-        return super().fragment_size(identifier)
-
     def neighbors(self, identifier):
         self._block()
         return super().neighbors(identifier)

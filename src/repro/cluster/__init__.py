@@ -37,7 +37,6 @@ from repro.cluster.router import (
     ClusterSearchService,
     PartitionAssignment,
     QueryRouter,
-    RouterSession,
     SearchCluster,
 )
 from repro.cluster.stats import TermStatsCache, TermStatsEntry, partition_bounds
@@ -52,7 +51,6 @@ __all__ = [
     "NodeHealth",
     "PartitionAssignment",
     "QueryRouter",
-    "RouterSession",
     "SearchCluster",
     "SearchNode",
     "TermStatsCache",

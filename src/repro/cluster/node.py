@@ -9,21 +9,21 @@ the standard read stack (:class:`~repro.core.fragment_index.InvertedFragmentInde
 *primary* copy of one partition and *replica* copies of others; which copy
 serves a given query is the router's call (:mod:`repro.cluster.router`).
 
-The node's query surface is deliberately the stream layer, not whole
-searches: :meth:`open_stream` returns a
-:class:`~repro.core.search.SearchStream` the router advances in merge
-order, pulling only as many partial results as the global top-k actually
-needs.
+A node has no query methods of its own: the router reads a hosted copy's
+block directories (``hosted.store.posting_blocks_for_many``) and opens its
+:class:`~repro.core.search.SearchStream` (``hosted.searcher.stream``)
+directly, advancing the stream in merge order and pulling only as many
+partial results as the global top-k actually needs.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.fragment_graph import FragmentGraph
 from repro.core.fragment_index import InvertedFragmentIndex
-from repro.core.search import SearchStream, TopKSearcher
+from repro.core.search import TopKSearcher
 from repro.core.urls import UrlFormulator
 from repro.db.query import ParameterizedPSJQuery
 from repro.store.base import FragmentStore
@@ -57,8 +57,7 @@ class HostedPartition:
 
 
 class SearchNode:
-    """One cluster node: partition stores, their searchers, and the seams
-    the router fans out over."""
+    """One cluster node: the partition copies it hosts, each with its read stack."""
 
     def __init__(
         self,
@@ -112,40 +111,3 @@ class SearchNode:
         """Partitions this node currently holds a copy of, in id order."""
         with self._lock:
             return tuple(sorted(self._partitions))
-
-    def stores(self) -> List[FragmentStore]:
-        """Every store this node currently hosts (for lifecycle management)."""
-        with self._lock:
-            return [hosted.store for hosted in self._partitions.values()]
-
-    # ------------------------------------------------------------------
-    # the router's per-node query surface
-    # ------------------------------------------------------------------
-    def document_frequencies(
-        self, partition: int, keywords: Sequence[str]
-    ) -> Dict[str, int]:
-        """This partition copy's exact per-keyword document frequencies.
-
-        Served from the block directories (one batched, cached read — the
-        same read the stream's scorer performs next), these are exact
-        integers; the router sums them across partitions into the global
-        DF, so every node scores with bit-identical global IDF.
-        """
-        hosted = self.hosted(partition)
-        directories = hosted.store.posting_blocks_for_many(tuple(keywords))
-        return {
-            keyword: directories[keyword].posting_count for keyword in dict.fromkeys(keywords)
-        }
-
-    def open_stream(
-        self,
-        partition: int,
-        keywords: Sequence[str],
-        k: int,
-        size_threshold: int,
-        idf_overrides: Dict[str, float],
-    ) -> SearchStream:
-        """Open this partition copy's bound-ordered stream for one query."""
-        return self.hosted(partition).searcher.stream(
-            keywords, k, size_threshold, idf_overrides=idf_overrides
-        )

@@ -144,42 +144,12 @@ class _RouterIndex:
         self.store = store
 
 
-class RouterSession:
-    """The router's stand-in for a :class:`~repro.core.search.SearchSession`.
-
-    Partition streams always build fresh scorers (a cached scorer's global
-    IDF could go stale through a *remote* partition's mutation without the
-    local epoch moving), so there is nothing to cache here — the session
-    exists so ``SearchService.statistics()["session"]`` keeps its shape.
-    """
-
-    def __init__(self, router: "QueryRouter") -> None:
-        self._router = router
-
-    def statistics(self) -> Dict[str, int]:
-        """Shape-compatible session counters (no scorer reuse by design)."""
-        lifetime = self._router.lifetime_statistics()
-        return {
-            "epoch": self._router.index.store.epoch,
-            "cached_scorers": 0,
-            "cached_neighbor_lists": 0,
-            "scorer_reuses": 0,
-            # One scorer per opened partition stream; pruned partitions
-            # never build one (replacement streams after a failover are
-            # not counted — rare enough to keep this a derivation).
-            "scorer_builds": int(
-                lifetime["searches"] * self._router.partition_count
-                - lifetime["partitions_pruned"]
-            ),
-        }
-
-
 class QueryRouter:
     """Scatter-gather searcher over one :class:`SearchCluster`.
 
     Duck-types the :class:`~repro.core.search.TopKSearcher` surface a
     :class:`~repro.serving.SearchService` drives — ``search_detailed``,
-    ``session()``, ``lifetime_statistics()`` and ``index.store`` — so the
+    ``lifetime_statistics()`` and ``index.store`` — so the
     whole serving layer stacks on a cluster unchanged.
     """
 
@@ -228,10 +198,6 @@ class QueryRouter:
         cluster.store.add_mutation_listener(self._on_mutations)
 
     # ------------------------------------------------------------------
-    def session(self) -> RouterSession:
-        """The router's session shim (see :class:`RouterSession`)."""
-        return RouterSession(self)
-
     def lifetime_statistics(self) -> Dict[str, float]:
         """Running totals over every routed search (includes fan-out counters).
 
@@ -422,24 +388,21 @@ class QueryRouter:
         keywords: Iterable[str],
         k: int = 10,
         size_threshold: int = 100,
-        session: Optional[RouterSession] = None,
     ) -> List[SearchResult]:
         """Routed top-``k`` results (see :meth:`search_detailed`)."""
-        return list(self.search_detailed(keywords, k, size_threshold, session=session).results)
+        return list(self.search_detailed(keywords, k, size_threshold).results)
 
     def search_detailed(
         self,
         keywords: Iterable[str],
         k: int = 10,
         size_threshold: int = 100,
-        session: Optional[RouterSession] = None,
         deadline_seconds: Optional[float] = None,
         degraded_ok: Optional[bool] = None,
     ) -> DetailedSearch:
         """Scatter-gather one query; byte-identical to a single-store run.
 
-        ``session`` is accepted for interface compatibility and ignored —
-        per-partition scorers are built per query with the router's global
+        Per-partition scorers are built per query with the router's global
         IDF.  The returned epoch is the facade (router-clock) epoch observed
         before the first partition read, so serving-cache stamps invalidate
         exactly as over a single store.
@@ -1204,7 +1167,7 @@ class ClusterSearchService(SearchService):
             cluster.router.degraded_ok = degraded_ok
         if deadline_seconds is not None:
             cluster.router.deadline_seconds = deadline_seconds
-        super().__init__(cluster.router, session=cluster.router.session(), **kwargs)
+        super().__init__(cluster.router, **kwargs)
 
     def close(self) -> None:
         """Close the serving layer, then the cluster underneath it."""

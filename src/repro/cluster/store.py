@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.core.fragments import FragmentId
 from repro.cluster.partitioning import GroupPartitioner
@@ -247,13 +247,6 @@ class ClusterStore(FragmentStore):
     # ------------------------------------------------------------------
     # postings section — reads
     # ------------------------------------------------------------------
-    def postings(self, keyword: str) -> Tuple[Posting, ...]:
-        merged: List[Posting] = []
-        for store in self._primaries():
-            merged.extend(store.postings(keyword))
-        merged.sort(key=posting_sort_key)
-        return tuple(merged)
-
     def postings_for_many(self, keywords: Sequence[str]) -> Dict[str, Tuple[Posting, ...]]:
         unique = list(dict.fromkeys(keywords))
         gathered = [store.postings_for_many(unique) for store in self._primaries()]
@@ -266,21 +259,12 @@ class ClusterStore(FragmentStore):
             merged[keyword] = tuple(combined)
         return merged
 
-    def fragment_frequency(self, keyword: str) -> int:
-        return sum(store.fragment_frequency(keyword) for store in self._primaries())
-
     def document_frequencies(self) -> Dict[str, int]:
         totals: Dict[str, int] = {}
         for store in self._primaries():
             for keyword, frequency in store.document_frequencies().items():
                 totals[keyword] = totals.get(keyword, 0) + frequency
         return totals
-
-    def term_frequency(self, keyword: str, identifier: FragmentId) -> int:
-        return self._owner(tuple(identifier)).term_frequency(keyword, tuple(identifier))
-
-    def fragment_term_frequencies(self, identifier: FragmentId) -> Dict[str, int]:
-        return self._owner(tuple(identifier)).fragment_term_frequencies(tuple(identifier))
 
     def fragment_term_frequencies_for(
         self, identifiers: Sequence[FragmentId]
@@ -290,9 +274,6 @@ class ClusterStore(FragmentStore):
         for partition, members in grouped.items():
             vectors.update(self._primary(partition).fragment_term_frequencies_for(members))
         return vectors
-
-    def fragment_size(self, identifier: FragmentId) -> int:
-        return self._owner(tuple(identifier)).fragment_size(tuple(identifier))
 
     def fragment_sizes(self) -> Dict[FragmentId, int]:
         sizes: Dict[FragmentId, int] = {}
@@ -324,16 +305,6 @@ class ClusterStore(FragmentStore):
         for store in self._primaries():
             keywords.update(store.vocabulary())
         return tuple(sorted(keywords))
-
-    def vocabulary_size(self) -> int:
-        keywords: Set[str] = set()
-        for store in self._primaries():
-            keywords.update(store.vocabulary())
-        return len(keywords)
-
-    def iter_items(self) -> Iterator[Tuple[str, Tuple[Posting, ...]]]:
-        for keyword in self.vocabulary():
-            yield keyword, self.postings(keyword)
 
     # ------------------------------------------------------------------
     # graph section

@@ -30,7 +30,7 @@ from repro.core.fragment_index import InvertedFragmentIndex
 from repro.core.fragments import Fragment, FragmentId, derive_fragments
 from repro.core.incremental import IncrementalMaintainer
 from repro.core.scoring import DashScorer, PageStats
-from repro.core.search import DetailedSearch, SearchResult, SearchSession, TopKSearcher
+from repro.core.search import DetailedSearch, SearchResult, TopKSearcher
 from repro.core.urls import UrlFormulator
 from repro.store import FragmentStore, InMemoryStore, resolve_store
 
@@ -49,7 +49,6 @@ __all__ = [
     "InvertedFragmentIndex",
     "PageStats",
     "SearchResult",
-    "SearchSession",
     "StepwiseCrawler",
     "TopKSearcher",
     "UrlFormulator",

@@ -28,7 +28,7 @@ from repro.core.crawler import (
 )
 from repro.core.fragment_graph import FragmentGraph, GraphBuildReport
 from repro.core.fragment_index import InvertedFragmentIndex
-from repro.core.search import SearchResult, SearchSession, TopKSearcher
+from repro.core.search import SearchResult, TopKSearcher
 from repro.core.urls import UrlFormulator
 from repro.db.database import Database
 from repro.mapreduce.runtime import MapReduceRuntime, RetryPolicy
@@ -104,9 +104,6 @@ class DashEngine:
                 application_uri=application.uri,
             ),
         )
-        # One long-lived session per engine: scorers are reused across
-        # searches and invalidated by the store's mutation epoch.
-        self._session = self._searcher.session()
 
     # ------------------------------------------------------------------
     # construction
@@ -377,9 +374,7 @@ class DashEngine:
         size_threshold: int = 100,
     ) -> List[SearchResult]:
         """Top-``k`` db-page URLs for ``keywords`` (Algorithm 1)."""
-        return self._searcher.search(
-            keywords, k=k, size_threshold=size_threshold, session=self._session
-        )
+        return self._searcher.search(keywords, k=k, size_threshold=size_threshold)
 
     def serving(
         self,
@@ -395,8 +390,8 @@ class DashEngine:
     ) -> "SearchService":
         """The blessed serving entry point: a cached, concurrent SearchService.
 
-        Wraps this engine's searcher (sharing its epoch-invalidated session)
-        in a :class:`~repro.serving.SearchService`: query admission, a
+        Wraps this engine's searcher (and with it the searcher's
+        epoch-invalidated scorer cache) in a :class:`~repro.serving.SearchService`: query admission, a
         versioned LRU result cache, and a thread pool for ``search_many``.
 
         ``maintenance=True`` additionally wires the write path: an
@@ -416,7 +411,6 @@ class DashEngine:
 
         service = SearchService(
             self._searcher,
-            session=self._session,
             cache_size=cache_size,
             workers=workers,
             default_k=default_k,
@@ -508,11 +502,6 @@ class DashEngine:
     @property
     def searcher(self) -> TopKSearcher:
         return self._searcher
-
-    @property
-    def session(self) -> SearchSession:
-        """The engine's reusable search session (shared with serving())."""
-        return self._session
 
     @property
     def store(self) -> FragmentStore:

@@ -111,7 +111,7 @@ class DashScorer:
         # Sizes are memoised: a whole equality group's are handed over when
         # the search opens it (prime_sizes), anything else is a point read on
         # first use.  This memo and the group totals are all a search writes,
-        # both idempotently: a session-cached scorer is safe under concurrency.
+        # both idempotently: a cached scorer is safe under concurrency.
         self._sizes: Dict[FragmentId, int] = {}
         self._groups: Dict[Callable, List[Tuple[Tuple[FragmentId, ...], Tuple[int, ...]]]] = {}
         if idf_overrides is not None:
@@ -194,7 +194,7 @@ class DashScorer:
         (:meth:`~repro.core.fragment_graph.FragmentGraph.group_key`).  No
         page inside a group holds more of a query keyword than the group's
         total, so ``score_bound(totals, ...)`` caps every page it can emit.
-        Kept per ``group_key``: a session-cached scorer pays once.
+        Kept per ``group_key``: a cached scorer pays once.
         """
         cached = self._groups.get(group_key)
         if cached is None:

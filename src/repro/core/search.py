@@ -218,28 +218,72 @@ class DetailedSearch:
 
 
 class _IdentifierCache:
-    """Order keys, neighbour lists and group sizes of one searcher, for one epoch.
+    """Scorers, order keys, neighbour lists and group sizes of one searcher, for one epoch.
 
-    All depend only on identifiers, adjacency and fragment sizes at one
-    epoch, so every stream of a searcher — a session's, a bare ``search``
-    call's, the cluster router's ``idf_overrides`` streams — shares one
-    instance.  :meth:`TopKSearcher._shared_identifiers` replaces (never
-    clears) it when an epoch moves or the neighbour map outgrows its
+    All depend only on the query keywords' postings, identifiers, adjacency
+    and fragment sizes at one epoch, so every stream of a searcher shares
+    one instance (the cluster router's ``idf_overrides`` streams share all
+    but the scorers).  :meth:`TopKSearcher._shared_identifiers` replaces
+    (never clears) it when an epoch moves or the neighbour map outgrows its
     capacity: a search in flight keeps a consistent cache, and no map
     outlives the fragments it was filled from.  Plain dict reads and writes
-    — concurrent streams may compute an entry twice, never see a torn one.
+    — concurrent streams may compute an entry twice, never see a torn one;
+    the scorer LRU's compound updates take a lock.
     """
 
-    __slots__ = ("epoch", "orders", "neighbors", "group_keys", "_graph", "_index", "_groups")
+    __slots__ = (
+        "epoch",
+        "orders",
+        "neighbors",
+        "group_keys",
+        "group_key",
+        "scorers",
+        "_scorers_lock",
+        "_graph",
+        "_index",
+        "_groups",
+    )
+
+    #: Scorers kept per epoch, least recently used evicted first.
+    SCORER_CAPACITY = 64
 
     def __init__(self, graph: FragmentGraph, index: InvertedFragmentIndex, epoch: Tuple) -> None:
         self.epoch = epoch
         self.orders: Dict[FragmentId, Tuple] = {}
         self.neighbors: Dict[FragmentId, Tuple[FragmentId, ...]] = {}
         self.group_keys: Dict[FragmentId, Tuple] = {}
+        group_keys, graph_group_key = self.group_keys, graph.group_key
+
+        def group_key(identifier: FragmentId) -> Tuple:
+            """:meth:`~repro.core.fragment_graph.FragmentGraph.group_key`, memoised."""
+            key = group_keys.get(identifier)
+            if key is None:
+                key = group_keys[identifier] = graph_group_key(identifier)
+            return key
+
+        # A closure, not a method: the cached scorers key their group totals
+        # by it, and a bound method would tie them and this cache into a
+        # reference cycle that only the cyclic collector frees.
+        self.group_key = group_key
+        self.scorers: "OrderedDict[Tuple[str, ...], DashScorer]" = OrderedDict()
+        self._scorers_lock = threading.Lock()
         self._graph = graph
         self._index = index
         self._groups: Optional[Dict[Tuple, Tuple[int, Dict[FragmentId, int]]]] = None
+
+    def scorer(self, keywords: Tuple[str, ...]) -> Tuple[DashScorer, bool]:
+        """``(scorer, reused)`` for canonical ``keywords``, built on a miss."""
+        with self._scorers_lock:
+            scorer = self.scorers.get(keywords)
+            if scorer is not None:
+                self.scorers.move_to_end(keywords)
+                return scorer, True
+        scorer = DashScorer(self._index, keywords)
+        with self._scorers_lock:
+            self.scorers[keywords] = scorer
+            while len(self.scorers) > self.SCORER_CAPACITY:
+                self.scorers.popitem(last=False)
+        return scorer, False
 
     def group(self, identifier: FragmentId) -> Tuple[int, Mapping[FragmentId, int]]:
         """``(size, {member: size})`` of ``identifier``'s group; ``(0, {})`` without a size row.
@@ -255,13 +299,6 @@ class _IdentifierCache:
             self._groups = {key: (sum(sizes.values()), sizes) for key, sizes in members.items()}
         return self._groups.get(self.group_key(identifier), (0, {}))
 
-    def group_key(self, identifier: FragmentId) -> Tuple:
-        """:meth:`~repro.core.fragment_graph.FragmentGraph.group_key`, memoised."""
-        key = self.group_keys.get(identifier)
-        if key is None:
-            key = self.group_keys[identifier] = self._graph.group_key(identifier)
-        return key
-
     def order(self, identifier: FragmentId) -> Tuple:
         """:func:`~repro.core.fragments.identifier_order`, memoised."""
         key = self.orders.get(identifier)
@@ -275,81 +312,6 @@ class _IdentifierCache:
         if neighbors is None:
             neighbors = self.neighbors[identifier] = self._graph.neighbors(identifier)
         return neighbors
-
-
-class SearchSession:
-    """Reusable cross-search scorers for one searcher, epoch-invalidated.
-
-    Without a session every :meth:`TopKSearcher.search` call builds its
-    :class:`DashScorer` (IDF table, gathered inverted lists, fragment sizes)
-    from scratch.  A session keeps scorers across calls in a small LRU keyed
-    by the canonical keyword tuple, and drops them the moment the store's
-    mutation epoch moves, so reuse never outlives the data it was computed
-    from.  (Sorted neighbour lists are shared too, but by the searcher
-    itself — see :class:`_IdentifierCache`.)
-
-    Safe for concurrent searches: the cache is guarded by a lock for
-    compound operations, and a search that raced a store mutation stamps its
-    output with the pre-mutation epoch, which the serving cache then refuses
-    to keep.
-    """
-
-    def __init__(self, searcher: "TopKSearcher", scorer_capacity: int = 64) -> None:
-        self._searcher = searcher
-        self._capacity = max(1, scorer_capacity)
-        self._lock = threading.Lock()
-        self._epoch = searcher.index.store.epoch
-        self._scorers: "OrderedDict[Tuple[str, ...], DashScorer]" = OrderedDict()
-        self.scorer_reuses = 0
-        self.scorer_builds = 0
-
-    @property
-    def epoch(self) -> int:
-        """The store epoch the cached state was computed at."""
-        return self._epoch
-
-    def begin(self) -> int:
-        """Start one search: revalidate against the store epoch, return it.
-
-        When the store moved, the scorer cache is replaced (not mutated), so
-        searches still in flight keep their consistent-but-stale scorers and
-        only their own results are marked stale.
-        """
-        epoch = self._searcher.index.store.epoch
-        with self._lock:
-            if epoch != self._epoch:
-                self._scorers = OrderedDict()
-                self._epoch = epoch
-            return self._epoch
-
-    def scorer_for(self, keywords: Tuple[str, ...], epoch: int) -> DashScorer:
-        """A scorer for ``keywords``, reused when one exists for this epoch."""
-        with self._lock:
-            if epoch == self._epoch:
-                scorer = self._scorers.get(keywords)
-                if scorer is not None:
-                    self._scorers.move_to_end(keywords)
-                    self.scorer_reuses += 1
-                    return scorer
-        scorer = DashScorer(self._searcher.index, keywords)
-        with self._lock:
-            self.scorer_builds += 1
-            if epoch == self._epoch:
-                self._scorers[keywords] = scorer
-                while len(self._scorers) > self._capacity:
-                    self._scorers.popitem(last=False)
-        return scorer
-
-    def statistics(self) -> Dict[str, int]:
-        """Reuse counters (surfaced by ``SearchService.statistics``)."""
-        with self._lock:
-            return {
-                "epoch": self._epoch,
-                "cached_scorers": len(self._scorers),
-                "cached_neighbor_lists": len(self._searcher._identifiers.neighbors),
-                "scorer_reuses": self.scorer_reuses,
-                "scorer_builds": self.scorer_builds,
-            }
 
 
 class TopKSearcher:
@@ -378,7 +340,7 @@ class TopKSearcher:
         # Pruning pays off across requests, so the serving layer wants the
         # running totals, not just the last search's snapshot.
         self._lifetime_lock = threading.Lock()
-        self._lifetime: Dict[str, int] = {"searches": 0}
+        self._lifetime: Dict[str, int] = {"searches": 0, "scorer_reuses": 0, "scorer_builds": 0}
         self._lifetime.update({field_name: 0 for field_name in LIFETIME_FIELDS})
         self._identifiers_lock = threading.Lock()
         self._identifiers = _IdentifierCache(graph, index, self._store_epochs())
@@ -388,7 +350,10 @@ class TopKSearcher:
 
         Includes the derived ``discard_ratio`` (``partials_discarded /
         partials_merged``, 0.0 on a single-store searcher where both stay
-        0) alongside the raw accumulated counters.
+        0) alongside the raw accumulated counters, and ``scorer_reuses`` /
+        ``scorer_builds`` — streams that took their scorer from the
+        per-epoch cache or had to build one (``idf_overrides`` streams
+        count in neither).
         """
         with self._lifetime_lock:
             snapshot: Dict[str, float] = dict(self._lifetime)
@@ -405,8 +370,8 @@ class TopKSearcher:
         """The shared identifier cache, revalidated for a search starting now.
 
         Validated against the stores it reads — the graph's for adjacency,
-        the index's for sizes (an engine shares one store between the two:
-        the epoch ``SearchSession.begin`` checks).  A read-only searcher
+        the index's for postings and sizes (an engine shares one store
+        between the two).  A read-only searcher
         would otherwise accumulate a second copy of the store's adjacency;
         the periodic capacity reset bounds memory at the cost of re-fetching
         hot lists and one more size pass.
@@ -419,16 +384,11 @@ class TopKSearcher:
             return cache
 
     # ------------------------------------------------------------------
-    def session(self, scorer_capacity: int = 64) -> SearchSession:
-        """A reusable search session over this searcher (see SearchSession)."""
-        return SearchSession(self, scorer_capacity=scorer_capacity)
-
     def search(
         self,
         keywords: Iterable[str],
         k: int = 10,
         size_threshold: int = 100,
-        session: Optional[SearchSession] = None,
     ) -> List[SearchResult]:
         """Return the URLs of the (at most) ``k`` most relevant db-pages.
 
@@ -436,22 +396,20 @@ class TopKSearcher:
         ``s`` keep being expanded while combinable fragments remain, so results
         carry at least ``s`` keywords of content whenever that is achievable.
         """
-        return list(self.search_detailed(keywords, k, size_threshold, session=session).results)
+        return list(self.search_detailed(keywords, k, size_threshold).results)
 
     def search_detailed(
         self,
         keywords: Iterable[str],
         k: int = 10,
         size_threshold: int = 100,
-        session: Optional[SearchSession] = None,
     ) -> DetailedSearch:
         """Run Algorithm 1 and report results, dependencies and the epoch.
 
-        ``session`` supplies reusable scorers; without one, a scorer is built
-        from scratch.  The returned :class:`DetailedSearch` carries everything
-        a serving cache needs to stamp and later revalidate the entry.
+        The returned :class:`DetailedSearch` carries everything a serving
+        cache needs to stamp and later revalidate the entry.
         """
-        stream = self.stream(keywords, k, size_threshold, session=session)
+        stream = self.stream(keywords, k, size_threshold)
         while stream.next_result() is not None:
             pass
         detailed = stream.as_detailed()
@@ -464,35 +422,38 @@ class TopKSearcher:
         keywords: Iterable[str],
         k: int = 10,
         size_threshold: int = 100,
-        session: Optional[SearchSession] = None,
         idf_overrides: Optional[Mapping[str, float]] = None,
     ) -> "SearchStream":
         """Open one search as a resumable, bound-ordered :class:`SearchStream`.
 
         ``search_detailed`` drains a stream in one go; the cluster router
         instead opens one stream per partition and interleaves them by
-        smallest next dequeue key.  ``idf_overrides`` substitutes
-        router-supplied global IDF values for the locally derived ones
-        (see :class:`~repro.core.scoring.DashScorer`) so a partition scores
-        every fragment exactly as the merged corpus would; overridden
-        streams always build a fresh scorer — a session's cached scorer
-        revalidates only against the *local* store epoch and could not see
-        a remote partition's mutations.
+        smallest next dequeue key.  The scorer (IDF table, gathered inverted
+        lists, size memo) comes from the per-epoch cache, keyed by the
+        canonical keywords.  ``idf_overrides`` substitutes router-supplied
+        global IDF values for the locally derived ones (see
+        :class:`~repro.core.scoring.DashScorer`) so a partition scores every
+        fragment exactly as the merged corpus would; overridden streams
+        always build a fresh scorer — the cache revalidates only against the
+        *local* store epochs and could not see a remote partition's
+        mutations.
         """
         if k < 1:
             raise ValueError("k must be at least 1")
         if size_threshold < 1:
             raise ValueError("the size threshold s must be at least 1")
         canonical = tuple(dict.fromkeys(str(keyword).lower() for keyword in keywords))
-        if session is not None and idf_overrides is None:
-            epoch = session.begin()
-            scorer = session.scorer_for(canonical, epoch)
+        # Stamped before the first data read, so a write racing this search
+        # (or the build of a cached scorer it reuses) ticks past the stamp.
+        epoch = self.index.store.epoch
+        identifiers = self._shared_identifiers()
+        if idf_overrides is None:
+            scorer, reused = identifiers.scorer(canonical)
+            with self._lifetime_lock:
+                self._lifetime["scorer_reuses" if reused else "scorer_builds"] += 1
         else:
-            epoch = self.index.store.epoch
             scorer = DashScorer(self.index, canonical, idf_overrides=idf_overrides)
-        return SearchStream(
-            self, canonical, k, size_threshold, scorer, epoch, self._shared_identifiers()
-        )
+        return SearchStream(self, canonical, k, size_threshold, scorer, epoch, identifiers)
 
     def _record_lifetime(self, statistics: SearchStatistics) -> None:
         with self._lifetime_lock:

@@ -3,8 +3,8 @@
 A :class:`FaultPlane` is one registry of :class:`FaultRule`\\ s plus the
 set of permanently dead nodes.  Cluster stores are wrapped with
 :meth:`FaultPlane.wrap_store`, which intercepts exactly the query-time read
-surface (block directories, posting/size/term batches, graph adjacency,
-snapshot cuts) and consults the plane before delegating; a matching rule
+surface (block directories, posting/size/term batches and their single-item
+forms, graph adjacency, snapshot cuts) and consults the plane before delegating; a matching rule
 then injects a latency spike (sleep), a transient error burst
 (:class:`NodeFault`), or permanent node death (:class:`NodeDown` from that
 call on, until :meth:`FaultPlane.revive_node`).
@@ -40,7 +40,11 @@ from repro.mapreduce.errors import TaskFailure
 
 #: Store methods the wrapper routes through the plane: the whole query-time
 #: read surface plus ``snapshot`` (so replica catch-up and rebalancing from
-#: a dead copy fail like any other read of it).
+#: a dead copy fail like any other read of it).  Matching is by name: a
+#: single-item read (``postings``, ``fragment_size``, ...) is defined once in
+#: :class:`~repro.store.FragmentStore` on top of its batched form, and the
+#: proxy consults the plane under the name the caller used, once — the inner
+#: store's delegation to its own batched read goes around the proxy.
 INTERCEPTED_OPERATIONS: Tuple[str, ...] = (
     "postings",
     "postings_for_many",

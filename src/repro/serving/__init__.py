@@ -17,8 +17,9 @@
 
 The blessed construction path is
 :meth:`repro.core.engine.DashEngine.serving`, which shares the engine's
-epoch-invalidated search session with the service (and, with
-``maintenance=True``, wires the write side to the same engine).
+searcher — and with it the searcher's epoch-invalidated scorer cache — with
+the service (and, with ``maintenance=True``, wires the write side to the
+same engine).
 """
 
 from repro.serving.cache import CachedResult, CacheStatistics, ResultCache

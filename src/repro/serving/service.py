@@ -20,9 +20,8 @@ the index — everything above :class:`~repro.core.search.TopKSearcher`:
 * **warm-up** — ``warm_up()`` pre-populates the cache for an expected
   workload before traffic arrives.
 
-The service shares its searcher's :class:`~repro.core.search.SearchSession`,
-so scorers (and, through the searcher itself, sorted neighbour lists) are also
-reused across requests and dropped on epoch changes.  One service instance is safe for concurrent use from many
+Scorers and sorted neighbour lists are reused across requests through the
+searcher's own per-epoch cache, dropped on epoch changes.  One service instance is safe for concurrent use from many
 threads; maintenance is expected to be applied by one writer at a time
 (matching :class:`~repro.core.incremental.IncrementalMaintainer`).
 """
@@ -35,7 +34,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.core.search import SearchResult, SearchSession, TopKSearcher
+from repro.core.search import SearchResult, TopKSearcher
 from repro.serving.cache import CachedResult, ResultCache
 from repro.serving.errors import (
     InvalidParameterError,
@@ -102,7 +101,6 @@ class SearchService:
     def __init__(
         self,
         searcher: TopKSearcher,
-        session: Optional[SearchSession] = None,
         cache_size: int = 1024,
         workers: int = 4,
         default_k: int = 10,
@@ -124,7 +122,6 @@ class SearchService:
             # per-query admission failures.
             raise ServiceConfigurationError(str(error)) from None
         self._searcher = searcher
-        self._session = session if session is not None else searcher.session()
         self._store = searcher.index.store
         self._cache = ResultCache(cache_size)
         self._workers = workers
@@ -349,7 +346,6 @@ class SearchService:
                         query.keywords,
                         k=query.k,
                         size_threshold=query.size_threshold,
-                        session=self._session,
                     )
                 else:
                     # The read side of the maintenance gate: a background
@@ -360,7 +356,6 @@ class SearchService:
                             query.keywords,
                             k=query.k,
                             size_threshold=query.size_threshold,
-                            session=self._session,
                         )
                 dependencies = detailed.dependencies
                 # Single-store searchers have no notion of partial answers;
@@ -509,7 +504,7 @@ class SearchService:
         return self._workers
 
     def statistics(self) -> Dict[str, Any]:
-        """One snapshot of every service counter (queries, cache, session)."""
+        """One snapshot of every service counter (queries, cache, search)."""
         with self._counter_lock:
             counters = {
                 "queries": self._queries,
@@ -523,10 +518,10 @@ class SearchService:
                 "entries": len(self._cache),
                 "capacity": self._cache.capacity,
             },
-            "session": self._session.statistics(),
             # Running totals over this service's computed queries — seeds
-            # scored, dequeues, expansions and the expansion evaluations the
-            # admissible bound saved; see repro.core.search.SearchStatistics.
+            # scored, dequeues, expansions, the expansion evaluations the
+            # admissible bound saved (see repro.core.search.SearchStatistics)
+            # and scorer reuses / builds.
             "search": self._searcher.lifetime_statistics(),
             "epoch": self._store.epoch,
             "workers": self._workers,

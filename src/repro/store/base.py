@@ -23,6 +23,13 @@ Contract notes shared by all backends:
 * :meth:`postings` and :meth:`iter_items` return lists sorted by descending
   occurrence count with ``str(identifier)`` as the tie-break, exactly like the
   conventional inverted file of Section II;
+* the postings section is read in **batches**: a backend implements
+  :meth:`~FragmentStore.postings_for_many`,
+  :meth:`~FragmentStore.fragment_term_frequencies_for` and
+  :meth:`~FragmentStore.fragment_sizes_for` (plus the whole-store reads),
+  and ``postings`` / ``fragment_term_frequencies`` / ``term_frequency`` /
+  ``fragment_size`` / ``fragment_frequency`` / ``vocabulary_size`` /
+  ``iter_items`` are defined once, here, on top of them;
 * the postings section is written in **whole fragments**, the two ways the
   paper writes its index: :meth:`~FragmentStore.bulk_load` takes fragments
   not yet stored (the crawl, Section V) and
@@ -264,20 +271,62 @@ class FragmentStore(ABC):
     # ------------------------------------------------------------------
     # postings section — reads
     # ------------------------------------------------------------------
+    # The read core is three batched reads plus the whole-store reads, native
+    # on every backend.  The single-item reads below are one-key batches,
+    # defined here only.
     @abstractmethod
-    def postings(self, keyword: str) -> Tuple[Posting, ...]:
-        """The sorted (possibly empty) inverted list of ``keyword``."""
-
     def postings_for_many(self, keywords: Sequence[str]) -> Dict[str, Tuple[Posting, ...]]:
         """The inverted lists of all ``keywords`` in one batched read.
 
         Returns ``keyword -> sorted postings`` (empty tuple for unknown
-        keywords; duplicate inputs collapse).  The base implementation loops
-        :meth:`postings`; the on-disk backend overrides it to answer the
-        whole batch with a single query, which is what makes scorer
+        keywords; duplicate inputs collapse).  The on-disk backend answers
+        the whole batch with a single query, which is what makes scorer
         construction one store round-trip instead of one per query keyword.
         """
-        return {keyword: self.postings(keyword) for keyword in dict.fromkeys(keywords)}
+
+    @abstractmethod
+    def fragment_term_frequencies_for(
+        self, identifiers: Sequence[FragmentId]
+    ) -> Dict[FragmentId, Dict[str, int]]:
+        """Keyword counts of all ``identifiers`` in one batched read.
+
+        Unknown fragments map to ``{}``; duplicate inputs collapse.  The
+        cluster facade reads replaced fragments' old vectors through it to
+        stamp the keywords a batch detaches.
+        """
+
+    @abstractmethod
+    def fragment_sizes_for(self, identifiers: Sequence[FragmentId]) -> Dict[FragmentId, int]:
+        """Sizes of just ``identifiers`` in one batched read (0 when unknown)."""
+
+    def postings(self, keyword: str) -> Tuple[Posting, ...]:
+        """The sorted (possibly empty) inverted list of ``keyword``."""
+        return self.postings_for_many((keyword,))[keyword]
+
+    def fragment_term_frequencies(self, identifier: FragmentId) -> Dict[str, int]:
+        """All keyword counts of one fragment."""
+        return self.fragment_term_frequencies_for((identifier,))[identifier]
+
+    def term_frequency(self, keyword: str, identifier: FragmentId) -> int:
+        """Occurrences of ``keyword`` in fragment ``identifier`` (0 when absent)."""
+        return self.fragment_term_frequencies(identifier).get(keyword, 0)
+
+    def fragment_size(self, identifier: FragmentId) -> int:
+        """Total keyword occurrences of ``identifier`` (0 when unknown)."""
+        return self.fragment_sizes_for((identifier,))[identifier]
+
+    def fragment_frequency(self, keyword: str) -> int:
+        """Number of postings of ``keyword`` (the DF Dash inverts for IDF)."""
+        return len(self.postings(keyword))
+
+    def vocabulary_size(self) -> int:
+        """Number of distinct indexed keywords."""
+        return len(self.vocabulary())
+
+    def iter_items(self) -> Iterator[Tuple[str, Tuple[Posting, ...]]]:
+        """Iterate ``(keyword, postings)`` in keyword order."""
+        for keyword in sorted(self.vocabulary()):
+            yield keyword, self.postings(keyword)
 
     def posting_blocks_for_many(self, keywords: Sequence[str]):
         """Block directories of all ``keywords`` in one batched read.
@@ -288,10 +337,11 @@ class FragmentStore(ABC):
         :func:`~repro.store.blocks.build_summaries` over the keyword's
         current sorted list and the current fragment sizes, so the ceiling
         floats — and therefore the router's partition bounds — are
-        backend-independent.  The base implementation gathers the full lists
-        and chunks them; the shipped backends cache directories
-        (epoch-revalidated) and :class:`~repro.store.DiskStore` serves its
-        persisted ``posting_blocks`` rows without decoding any entries.
+        backend-independent.  This implementation gathers the full lists
+        and chunks them, uncached (the cluster router caches what it reads
+        from them in its :class:`~repro.cluster.stats.TermStatsCache`);
+        :class:`~repro.store.DiskStore` overrides it to serve its persisted
+        ``posting_blocks`` rows without decoding any entries.
         """
         from repro.store.blocks import keyword_blocks_from_postings
 
@@ -309,48 +359,12 @@ class FragmentStore(ABC):
         return directories
 
     @abstractmethod
-    def fragment_frequency(self, keyword: str) -> int:
-        """Number of postings of ``keyword`` (the DF Dash inverts for IDF)."""
-
-    @abstractmethod
     def document_frequencies(self) -> Dict[str, int]:
         """DF of every keyword in the vocabulary."""
 
     @abstractmethod
-    def term_frequency(self, keyword: str, identifier: FragmentId) -> int:
-        """Occurrences of ``keyword`` in fragment ``identifier`` (0 when absent)."""
-
-    @abstractmethod
-    def fragment_term_frequencies(self, identifier: FragmentId) -> Dict[str, int]:
-        """All keyword counts of one fragment."""
-
-    def fragment_term_frequencies_for(
-        self, identifiers: Sequence[FragmentId]
-    ) -> Dict[FragmentId, Dict[str, int]]:
-        """Keyword counts of all ``identifiers`` in one batched read.
-
-        Unknown fragments map to ``{}``; duplicate inputs collapse.  The
-        cluster facade reads replaced fragments' old vectors through it to
-        stamp the keywords a batch detaches.  The base implementation
-        loops :meth:`fragment_term_frequencies`; the on-disk and cluster
-        backends batch per query / per partition.
-        """
-        return {
-            identifier: self.fragment_term_frequencies(identifier)
-            for identifier in dict.fromkeys(identifiers)
-        }
-
-    @abstractmethod
-    def fragment_size(self, identifier: FragmentId) -> int:
-        """Total keyword occurrences of ``identifier`` (0 when unknown)."""
-
-    @abstractmethod
     def fragment_sizes(self) -> Dict[FragmentId, int]:
         """Identifier -> size of every stored fragment."""
-
-    def fragment_sizes_for(self, identifiers: Sequence[FragmentId]) -> Dict[FragmentId, int]:
-        """Sizes of just ``identifiers`` in one batched read."""
-        return {identifier: self.fragment_size(identifier) for identifier in identifiers}
 
     @abstractmethod
     def fragment_ids(self) -> Tuple[FragmentId, ...]:
@@ -368,10 +382,6 @@ class FragmentStore(ABC):
     def vocabulary(self) -> Tuple[str, ...]:
         """Every indexed keyword."""
 
-    @abstractmethod
-    def vocabulary_size(self) -> int:
-        """Number of distinct indexed keywords."""
-
     def approximate_bytes(self) -> int:
         """Rough serialized size of the postings section (ablation benchmarks).
 
@@ -386,10 +396,6 @@ class FragmentStore(ABC):
                 for component in posting.document_id:
                     total += len(str(component)) + 1
         return total
-
-    @abstractmethod
-    def iter_items(self) -> Iterator[Tuple[str, Tuple[Posting, ...]]]:
-        """Iterate ``(keyword, postings)`` in keyword order."""
 
     # ------------------------------------------------------------------
     # graph section — nodes

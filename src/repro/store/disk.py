@@ -100,7 +100,7 @@ import os
 import sqlite3
 import threading
 import time
-from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.fragments import FragmentId
 from repro.store.base import FragmentStore, StoreError
@@ -1277,34 +1277,17 @@ class DiskStore(FragmentStore):
                 )
             return results
 
-    def postings(self, keyword: str) -> Tuple[Posting, ...]:
-        in_owned_batch = self._in_owned_batch()
-        if not in_owned_batch:
-            with self._cache_lock:
-                cached = self._postings_cache.get(keyword)
-                if cached is not None:
-                    stamp, result = cached
-                    if self.keyword_epoch(keyword) <= stamp:
-                        return result
-                    self._postings_cache.pop(keyword, None)
-        stamp = self.epoch
-        result = self._gather_postings([keyword])[keyword]
-        if result and not in_owned_batch:
-            # The pre-read stamp makes a racing write's tick invalidate this
-            # entry on its next lookup; misses are never cached (unbounded
-            # growth under hostile unknown keywords).  Staged batch reads
-            # are never cached at all — their stamp would predate the data.
-            with self._cache_lock:
-                self._postings_cache[keyword] = (stamp, result)
-        return result
-
     def postings_for_many(self, keywords) -> Dict[str, Tuple[Posting, ...]]:
         """All requested inverted lists in one chunked query.
 
-        Cache hits are revalidated per keyword exactly like :meth:`postings`;
-        the misses are answered together with ``keyword IN (...)`` batches
-        (ordered so each keyword's rows come back in canonical inverted-list
-        order), one round-trip instead of one per query keyword.
+        Cache hits are revalidated against each keyword's epoch; the misses
+        are answered together with ``keyword IN (...)`` batches (ordered so
+        each keyword's rows come back in canonical inverted-list order), one
+        round-trip instead of one per query keyword.  The pre-read stamp
+        makes a racing write's tick invalidate a new entry on its next
+        lookup; misses are never cached (unbounded growth under hostile
+        unknown keywords), and neither is anything read by the thread that
+        owns the open batch — its stamp would predate the staged data.
         """
         results: Dict[str, Tuple[Posting, ...]] = {}
         missing: List[str] = []
@@ -1333,15 +1316,6 @@ class DiskStore(FragmentStore):
             results[keyword] = result
         return results
 
-    def fragment_frequency(self, keyword: str) -> int:
-        if self._read_connection() is not None:
-            # Committed files are compacted: block counts sum to the df.
-            return self._execute_read(
-                "SELECT COALESCE(SUM(count), 0) FROM posting_blocks WHERE keyword = ?",
-                (keyword,),
-            )[0][0]
-        return len(self.postings(keyword))
-
     def document_frequencies(self) -> Dict[str, int]:
         if self._read_connection() is not None:
             return dict(
@@ -1354,12 +1328,6 @@ class DiskStore(FragmentStore):
             for keyword, postings in self._gather_postings(list(self.vocabulary())).items()
             if postings
         }
-
-    def term_frequency(self, keyword: str, identifier: FragmentId) -> int:
-        return self.fragment_term_frequencies(identifier).get(keyword, 0)
-
-    def fragment_term_frequencies(self, identifier: FragmentId) -> Dict[str, int]:
-        return self.fragment_term_frequencies_for((identifier,))[identifier]
 
     def fragment_term_frequencies_for(self, identifiers) -> Dict[FragmentId, Dict[str, int]]:
         """Each fragment's term vector from its forward-index BLOB (one
@@ -1384,32 +1352,15 @@ class DiskStore(FragmentStore):
                 vectors[identifier] = decode_fragment_terms(blob) if blob is not None else {}
         return vectors
 
-    def fragment_size(self, identifier: FragmentId) -> int:
-        in_owned_batch = self._in_owned_batch()
-        if not in_owned_batch:
-            with self._cache_lock:
-                cached = self._sizes_cache.get(identifier)
-                if cached is not None and self._epoch_clock.fragment_epoch(identifier) <= cached[0]:
-                    return cached[1]
-        stamp = self.epoch
-        rows = self._execute_read(
-            "SELECT size FROM fragments WHERE id = ?", (encode_identifier(identifier),)
-        )
-        size = rows[0][0] if rows else 0
-        if rows and not in_owned_batch:
-            with self._cache_lock:
-                self._sizes_cache[identifier] = (stamp, size)
-        return size
-
     def fragment_sizes(self) -> Dict[FragmentId, int]:
         rows = self._execute_read("SELECT id, size FROM fragments")
         return {self._decode(encoded): size for encoded, size in rows}
 
     def fragment_sizes_for(self, identifiers) -> Dict[FragmentId, int]:
-        # One batched IN query per chunk instead of the base class's
-        # per-identifier SELECT: scorer size priming asks for a whole batch
-        # of fragments at once, the hottest read on the search path.  Sizes
-        # already cached (and epoch-fresh) never reach SQL at all.
+        # One batched IN query per chunk; the single fragment_size is a
+        # one-identifier call of this.  Sizes already cached (and
+        # epoch-fresh) never reach SQL at all, and neither the owning
+        # thread's staged reads nor misses are cached.
         sizes: Dict[FragmentId, int] = {}
         wanted: List[Tuple[FragmentId, str]] = []
         in_owned_batch = self._in_owned_batch()
@@ -1481,17 +1432,6 @@ class DiskStore(FragmentStore):
                 )
             )
         return tuple(keyword for keyword in sorted(names) if self.postings(keyword))
-
-    def vocabulary_size(self) -> int:
-        if self._read_connection() is not None:
-            return self._execute_read(
-                "SELECT COUNT(DISTINCT keyword) FROM posting_blocks"
-            )[0][0]
-        return len(self.vocabulary())
-
-    def iter_items(self) -> Iterator[Tuple[str, Tuple[Posting, ...]]]:
-        for keyword in self.vocabulary():
-            yield keyword, self.postings(keyword)
 
     def posting_blocks_for_many(self, keywords) -> Dict[str, KeywordBlocks]:
         """Block directories served straight from the summary columns.

@@ -182,7 +182,7 @@ class EpochClock:
 
         Callers must pass a stamp no newer than any stamp still being
         compared — :meth:`repro.serving.SearchService.sweep_epochs` derives
-        it from the result cache and the live session.
+        it from the result cache and the computations in flight.
         """
         if oldest_live_stamp < 0:
             raise ValueError(f"oldest live stamp must be non-negative, got {oldest_live_stamp}")

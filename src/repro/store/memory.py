@@ -11,11 +11,10 @@ each removal, O(keywords x postings) per incremental delete).
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.core.fragments import FragmentId
 from repro.store.base import FragmentStore, StoreError
-from repro.store.blocks import KeywordBlocks, keyword_blocks_from_postings
 from repro.store.mutations import (
     RemoveFragment,
     ReplaceFragment,
@@ -46,18 +45,11 @@ class InMemoryStore(FragmentStore):
         # Reverse map: fragment -> keyword -> occurrence count, insertion
         # ordered.  The keys make removals touch only the inverted lists the
         # fragment appears in; the values answer per-fragment term-vector
-        # reads (fragment_term_frequencies and its batched form) without
-        # scanning any posting list.  Duplicate
-        # (keyword, fragment) postings keep the maximum count — the entry a
+        # reads (fragment_term_frequencies_for) without scanning any posting
+        # list.  Duplicate (keyword, fragment) postings keep the maximum count — the entry a
         # descending-sorted list scan finds first.
         self._fragment_keywords: Dict[FragmentId, Dict[str, int]] = {}
         self._sorted = True
-        # keyword -> (epoch stamp, block directory).  Validated against the
-        # store-wide epoch: block summaries depend on fragment sizes, which
-        # change without ticking the keyword's own epoch, so any write
-        # invalidates every cached directory.  Entries pin the sorted tuple
-        # their summaries were derived from (KeywordBlocks.decode slices it).
-        self._block_cache: Dict[str, Tuple[int, KeywordBlocks]] = {}
         self._nodes: Dict[FragmentId, int] = {}
         self._adjacency: Dict[FragmentId, Set[FragmentId]] = {}
 
@@ -188,62 +180,13 @@ class InMemoryStore(FragmentStore):
     # ------------------------------------------------------------------
     # postings section — reads
     # ------------------------------------------------------------------
-    def postings(self, keyword: str) -> Tuple[Posting, ...]:
-        self.finalize()
-        return tuple(self._postings.get(keyword, ()))
-
     def postings_for_many(self, keywords) -> Dict[str, Tuple[Posting, ...]]:
         """All requested inverted lists behind a single finalize check."""
         self.finalize()
         return {keyword: tuple(self._postings.get(keyword, ())) for keyword in dict.fromkeys(keywords)}
 
-    def posting_blocks_for_many(self, keywords) -> Dict[str, KeywordBlocks]:
-        """Block directories, cached per keyword and epoch-revalidated.
-
-        A cached directory survives exactly until the store's next write of
-        any kind (block maxima depend on fragment sizes, which can change
-        without the keyword's own epoch moving), after which the directory
-        is rebuilt from the current sorted list and current sizes — the
-        cross-backend determinism contract of
-        :meth:`~repro.store.base.FragmentStore.posting_blocks_for_many`.
-        """
-        self.finalize()
-        directories: Dict[str, KeywordBlocks] = {}
-        sizes = self._fragment_sizes
-        for keyword in dict.fromkeys(keywords):
-            cached = self._block_cache.get(keyword)
-            if cached is not None and self._epoch_clock.epoch <= cached[0]:
-                directories[keyword] = cached[1]
-                continue
-            # The stamp is captured before the build: a write racing the
-            # build ticks past it, so the (possibly torn) entry can never
-            # outlive the write.
-            stamp = self._epoch_clock.epoch
-            postings = tuple(self._postings.get(keyword, ()))
-            blocks = keyword_blocks_from_postings(
-                keyword, postings, lambda identifier: sizes.get(identifier, 0)
-            )
-            if postings:
-                # Never cache misses (unknown-keyword floods would grow the
-                # cache without bound); stale hits self-replace above.
-                self._block_cache[keyword] = (stamp, blocks)
-            else:
-                self._block_cache.pop(keyword, None)
-            directories[keyword] = blocks
-        return directories
-
-    def fragment_frequency(self, keyword: str) -> int:
-        return len(self._postings.get(keyword, ()))
-
     def document_frequencies(self) -> Dict[str, int]:
         return {keyword: len(postings) for keyword, postings in self._postings.items()}
-
-    def term_frequency(self, keyword: str, identifier: FragmentId) -> int:
-        return self._fragment_keywords.get(identifier, {}).get(keyword, 0)
-
-    def fragment_term_frequencies(self, identifier: FragmentId) -> Dict[str, int]:
-        # The reverse map carries the counts, so no posting list is scanned.
-        return dict(self._fragment_keywords.get(identifier, {}))
 
     def fragment_term_frequencies_for(self, identifiers) -> Dict[FragmentId, Dict[str, int]]:
         keyword_maps = self._fragment_keywords
@@ -251,9 +194,6 @@ class InMemoryStore(FragmentStore):
             identifier: dict(keyword_maps.get(identifier, {}))
             for identifier in dict.fromkeys(identifiers)
         }
-
-    def fragment_size(self, identifier: FragmentId) -> int:
-        return self._fragment_sizes.get(identifier, 0)
 
     def fragment_sizes(self) -> Dict[FragmentId, int]:
         return dict(self._fragment_sizes)
@@ -274,14 +214,6 @@ class InMemoryStore(FragmentStore):
 
     def vocabulary(self) -> Tuple[str, ...]:
         return tuple(self._postings)
-
-    def vocabulary_size(self) -> int:
-        return len(self._postings)
-
-    def iter_items(self) -> Iterator[Tuple[str, Tuple[Posting, ...]]]:
-        self.finalize()
-        for keyword in sorted(self._postings):
-            yield keyword, tuple(self._postings[keyword])
 
     # ------------------------------------------------------------------
     # graph section

@@ -279,30 +279,56 @@ class TestIdentifierCaches:
         fragments = {("Cuisine00", 5 + at): {"hot": 1, "pad": 3} for at in range(12)}
         index, graph, searcher = _one_store_searcher(search_query, fragments)
         searcher.NEIGHBOR_CAPACITY = 4  # a tight cap: resets happen within the test
-        session = searcher.session()
         for round_no in range(200):
             transient = ("Cuisine00", 100 + round_no)
             index.add_fragment(transient, {"hot": 2, "pad": 1})
             graph.add_fragment(transient, 3)
-            searcher.search(["hot"], k=3, size_threshold=40, session=session)
+            searcher.search(["hot"], k=3, size_threshold=40)
             index.remove_fragment(transient)
             graph.remove_fragment(transient)
             searcher.search(["hot"], k=3, size_threshold=40)
             cache = searcher._identifiers
             bound = graph.fragment_count + searcher.NEIGHBOR_CAPACITY
             assert len(cache.orders) <= bound and len(cache.neighbors) <= bound
-            assert session.statistics()["cached_neighbor_lists"] == len(cache.neighbors)
+            # Every write moved the epoch: each search built its scorer
+            # afresh, and the current cache holds only the last one.
+            assert list(cache.scorers) == [("hot",)]
+            lifetime = searcher.lifetime_statistics()
+            assert (lifetime["scorer_builds"], lifetime["scorer_reuses"]) == (2 * round_no + 2, 0)
             assert transient not in cache.orders and transient not in cache.neighbors
 
     def test_streams_without_a_session_share_the_neighbour_cache(self, search_query):
         fragments = {("Cuisine00", 5 + at): {"hot": 1, "pad": 3} for at in range(6)}
         _index, _graph, searcher = _one_store_searcher(search_query, fragments)
         searcher.search(["hot"], k=2, size_threshold=40)
-        filled = searcher.session().statistics()["cached_neighbor_lists"]
+        filled = len(searcher._identifiers.neighbors)
         assert filled > 0
         routed = searcher.stream(["hot"], 2, 40, idf_overrides={"hot": 0.5})
         assert routed.next_result() is not None
-        assert searcher.session().statistics()["cached_neighbor_lists"] == filled
+        assert len(searcher._identifiers.neighbors) == filled
+        # The overridden stream shares the neighbour lists, never the scorers.
+        assert routed.scorer is not searcher._identifiers.scorers[("hot",)]
+        lifetime = searcher.lifetime_statistics()
+        assert (lifetime["scorer_builds"], lifetime["scorer_reuses"]) == (1, 0)
+        searcher.search(["HOT", "hot"], k=2, size_threshold=40)
+        assert searcher.lifetime_statistics()["scorer_reuses"] == 1
+
+    def test_a_dropped_searcher_frees_its_store_without_the_cyclic_collector(self, search_query):
+        import gc
+        import weakref
+
+        fragments = {("Cuisine00", 5 + at): {"hot": 1, "pad": 3} for at in range(6)}
+        gc.collect()
+        gc.disable()
+        try:
+            index, graph, searcher = _one_store_searcher(search_query, fragments)
+            searcher.search(["hot"], k=2, size_threshold=40)
+            assert searcher._identifiers.scorers  # a cached scorer holds group totals
+            store = weakref.ref(index.store)
+            del index, graph, searcher
+            assert store() is None
+        finally:
+            gc.enable()
 
 
 class TestSearchStreamBatching:

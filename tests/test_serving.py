@@ -172,7 +172,7 @@ class TestCaching:
         assert statistics["computed"] == 1
         assert statistics["cache"]["hits"] == 1
         assert statistics["cache"]["misses"] == 1
-        assert statistics["session"]["scorer_builds"] >= 1
+        assert statistics["search"]["scorer_builds"] >= 1
 
 
 class TestResultCacheUnit:
@@ -348,17 +348,17 @@ class TestSessionReuse:
         database, engine = build_bundle()
         engine.search(["burger"], k=2, size_threshold=20)
         engine.search(["burger"], k=5, size_threshold=20)
-        assert engine.session.statistics()["scorer_reuses"] >= 1
+        assert engine.searcher.lifetime_statistics()["scorer_reuses"] >= 1
         maintainer = IncrementalMaintainer(
             engine.application.query, database, engine.index, engine.graph
         )
         maintainer.insert("comment", ("208", "001", "120", "spicy noodle", "08/01"))
-        builds_before = engine.session.statistics()["scorer_builds"]
+        builds_before = engine.searcher.lifetime_statistics()["scorer_builds"]
         engine.search(["burger"], k=2, size_threshold=20)
-        # the next search revalidated the session: caches were dropped and the
-        # scorer rebuilt against the post-update store state
-        assert engine.session.epoch == engine.store.epoch
-        assert engine.session.statistics()["scorer_builds"] == builds_before + 1
+        # the next search revalidated the searcher's cache: it was replaced
+        # and the scorer rebuilt against the post-update store state
+        assert engine.searcher._identifiers.epoch == (engine.store.epoch, engine.store.epoch)
+        assert engine.searcher.lifetime_statistics()["scorer_builds"] == builds_before + 1
 
 
 class TestLifecycle:

@@ -424,6 +424,194 @@ class TestWriteVocabulary:
         reopened.close()
 
 
+# ----------------------------------------------------------------------
+# the read vocabulary: batched reads are the core, singles derived once
+# ----------------------------------------------------------------------
+UNKNOWN_KEYWORD = "zz-unknown"
+UNKNOWN_FRAGMENT = ("Nowhere", 0)
+
+
+def _model_items(corpus, batch):
+    """``iter_items()`` of ``corpus`` after ``batch``, from plain dictionaries."""
+    from repro.store import RemoveFragment, ReplaceFragment
+
+    vectors = {identifier: vector for identifier, vector in corpus}
+    for op in batch:
+        if isinstance(op, ReplaceFragment):
+            vectors[op.identifier] = op.term_frequencies
+        elif isinstance(op, RemoveFragment):
+            vectors.pop(op.identifier, None)
+        else:
+            vectors.setdefault(op.identifier, [])
+    lists = {}
+    for identifier, vector in vectors.items():
+        for keyword, occurrences in vector:
+            if occurrences > 0:
+                lists.setdefault(keyword, []).append((identifier, occurrences))
+    return [
+        (keyword, tuple(sorted(lists[keyword], key=lambda entry: (-entry[1], str(entry[0])))))
+        for keyword in sorted(lists)
+    ]
+
+
+def _model_bytes(items):
+    return sum(
+        len(keyword) + 1
+        + sum(8 + sum(len(str(part)) + 1 for part in identifier) for identifier, _n in postings)
+        for keyword, postings in items
+    )
+
+
+def _assert_singles_match_core(store):
+    """Every derived single-item read equals its batched core, unknowns included."""
+    keywords = list(store.vocabulary()) + [UNKNOWN_KEYWORD]
+    identifiers = list(store.fragment_ids()) + [UNKNOWN_FRAGMENT]
+    lists = store.postings_for_many(keywords)
+    vectors = store.fragment_term_frequencies_for(identifiers)
+    sizes = store.fragment_sizes_for(identifiers)
+    assert lists[UNKNOWN_KEYWORD] == () and vectors[UNKNOWN_FRAGMENT] == {}
+    assert sizes[UNKNOWN_FRAGMENT] == 0
+    for keyword in keywords:
+        assert store.postings(keyword) == lists[keyword]
+        assert store.fragment_frequency(keyword) == len(lists[keyword])
+    for identifier in identifiers:
+        assert store.fragment_term_frequencies(identifier) == vectors[identifier]
+        assert store.fragment_size(identifier) == sizes[identifier]
+        for keyword in keywords:
+            assert store.term_frequency(keyword, identifier) == vectors[identifier].get(keyword, 0)
+    assert store.vocabulary_size() == len(store.vocabulary())
+    items = list(store.iter_items())
+    assert items == [(keyword, lists[keyword]) for keyword in sorted(keywords[:-1])]
+    return items
+
+
+mutation_batches = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=11),
+        st.sampled_from(["replace", "remove", "touch"]),
+        pair_vectors,
+    ),
+    max_size=6,
+    unique_by=lambda op: op[0],
+)
+
+
+def _mutations(drawn):
+    from repro.store import RemoveFragment, TouchFragment, replace_op
+
+    make = {
+        "replace": lambda identifier, vector: replace_op(identifier, vector),
+        "remove": lambda identifier, _vector: RemoveFragment(identifier),
+        "touch": lambda identifier, _vector: TouchFragment(identifier),
+    }
+    # Identifiers 0-8 may be stored already; 9-11 never are.
+    return [
+        make[kind]((f"Cuisine{index % 3}", 5 + index), vector) for index, kind, vector in drawn
+    ]
+
+
+class TestReadVocabulary:
+    """The read half of the interface: three batched reads are the abstract
+    core, and ``postings`` / ``fragment_frequency`` / ``term_frequency`` /
+    ``fragment_term_frequencies`` / ``fragment_size`` / ``vocabulary_size``
+    / ``iter_items`` are defined once, in ``FragmentStore``."""
+
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(corpus=pair_corpora, drawn=mutation_batches)
+    def test_every_single_equals_its_batched_core(self, make_backend, corpus, drawn):
+        store = make_backend()
+        store.bulk_load(corpus)
+        batch = _mutations(drawn)
+        store.apply_mutations(batch)
+        items = _assert_singles_match_core(store)
+        expected = _model_items(corpus, batch)
+        assert [
+            (keyword, tuple((p.document_id, p.term_frequency) for p in postings))
+            for keyword, postings in items
+        ] == expected
+        assert store.approximate_bytes() == _model_bytes(expected)
+
+    def test_backends_define_no_single_item_read(self):
+        from repro.cluster import ClusterStore
+
+        singles = (
+            "postings",
+            "fragment_frequency",
+            "term_frequency",
+            "fragment_term_frequencies",
+            "fragment_size",
+            "vocabulary_size",
+            "iter_items",
+        )
+        for backend in (InMemoryStore, DiskStore, ClusterStore):
+            assert not set(singles) & set(vars(backend)), backend
+            assert getattr(backend, "postings") is FragmentStore.postings
+        assert "posting_blocks_for_many" not in vars(InMemoryStore)
+        assert {
+            "postings_for_many",
+            "fragment_term_frequencies_for",
+            "fragment_sizes_for",
+        } <= FragmentStore.__abstractmethods__
+
+    def test_owning_thread_reads_staged_rows_through_the_singles(self):
+        store = _tmp_disk_store()
+        store.bulk_load([(("a", 1), {"kw": 2}), (("a", 2), {"kw": 1, "old": 4})])
+        assert store.postings("kw") and store.fragment_size(("a", 2)) == 5  # warm the caches
+        with store.write_batch():
+            store.replace_fragment(("a", 2), {"kw": 7, "new": 1})
+            store.remove_fragment(("a", 1))
+            assert [tuple(p) for p in store.postings("kw")] == [(("a", 2), 7)]
+            assert store.postings("old") == () and store.fragment_frequency("new") == 1
+            assert store.fragment_size(("a", 2)) == 8 and store.fragment_size(("a", 1)) == 0
+            assert store.term_frequency("kw", ("a", 2)) == 7
+            assert dict(store.iter_items()) == {
+                "kw": store.postings_for_many(["kw"])["kw"],
+                "new": store.postings_for_many(["new"])["new"],
+            }
+            _assert_singles_match_core(store)
+        # staged reads were never cached: the committed store reads the same
+        assert [tuple(p) for p in store.postings("kw")] == [(("a", 2), 7)]
+        assert store.fragment_size(("a", 2)) == 8 and not store.has_fragment(("a", 1))
+        _assert_singles_match_core(store)
+        store.close()
+
+    def test_read_only_reader_derives_the_same_singles(self, tmp_path):
+        path = str(tmp_path / "store.sqlite")
+        writer = DiskStore(path)
+        writer.bulk_load([(("a", 1), {"kw": 2, "x": 1}), (("b", 2), {"kw": 3})])
+        reader = DiskStore(path, read_only=True)
+        try:
+            assert _assert_singles_match_core(reader) == list(writer.iter_items())
+            assert reader.fragment_size(("b", 2)) == 3
+            writer.replace_fragment(("b", 2), {"kw": 1})
+            reader.refresh_epochs()
+            assert reader.fragment_size(("b", 2)) == 1
+            assert [tuple(p) for p in reader.postings("kw")] == [(("a", 1), 2), (("b", 2), 1)]
+            _assert_singles_match_core(reader)
+        finally:
+            reader.close()
+            writer.close()
+
+    def test_fault_rule_on_a_single_fires_for_the_proxy(self):
+        from repro.faults import FaultPlane, FaultRule, NodeFault
+
+        plane = FaultPlane()
+        proxy = plane.wrap_store("n0", InMemoryStore())
+        proxy.bulk_load([(("a", 1), {"kw": 2})])
+        plane.add_rule(FaultRule("error", node="n0", operation="postings"))
+        with pytest.raises(NodeFault):
+            proxy.postings("kw")
+        # the batched core is a different operation name: it is not faulted,
+        # and the single's delegation to it does not fire its rules twice
+        assert [tuple(p) for p in proxy.postings_for_many(["kw"])["kw"]] == [(("a", 1), 2)]
+        assert proxy.fragment_size(("a", 1)) == 2
+        assert plane.statistics()["rules"][0]["fired"] == 1
+
+
 class TestSearchResultContains:
     def test_scalar_lookup_returns_false(self, fooddb, search_query, search_spec):
         fragments = derive_fragments(search_query, fooddb)

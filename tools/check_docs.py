@@ -62,7 +62,6 @@ PUBLIC_API = {
         "TopKSearcher",
         "TopKSearcher.search",
         "TopKSearcher.search_detailed",
-        "SearchSession",
         "SearchResult",
     ],
     "repro.core.incremental": [
