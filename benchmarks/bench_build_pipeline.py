@@ -8,9 +8,9 @@ increasing scales and measures, per scale,
                     :class:`DiskStore` inside one ``write_batch`` (the
                     blessed pre-pipeline path),
 * ``distributed`` — :class:`repro.build.BuildPipeline` into a fresh
-                    :class:`DiskStore`: partitioned map tasks, sorted-run
-                    reduce tasks, parallel per-shard bulk loads and the final
-                    merge,
+                    :class:`DiskStore`: partitioned map tasks spooling whole
+                    fragments, then load tasks bulk-loading the spools
+                    inside one ``write_batch`` of the target,
 
 verifies the two stores are **byte-identical** (posting blocks and fragment
 rows — the ``parity_ok`` flag ``tools/check_bench_parity.py`` gates CI on),
@@ -170,7 +170,6 @@ def run_build_comparison() -> Dict:
                 "keywords": report.keywords,
                 "stage_seconds": {
                     "map": round(report.map_seconds, 3),
-                    "reduce": round(report.reduce_seconds, 3),
                     "load": round(report.load_seconds, 3),
                     "merge": round(report.merge_seconds, 3),
                 },

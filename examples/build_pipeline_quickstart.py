@@ -5,10 +5,9 @@ Walks the batch crawl→index pipeline end to end over the paper's running
 example plus a synthetic corpus:
 
 1. build the fooddb index **distributed** — ``DashEngine.build_distributed``
-   partitions the crawl frontier over map tasks, shuffles postings into
-   keyword-partitioned sorted runs, bulk-loads one index shard per reduce
-   partition, and merges the shards into one store — with the per-stage
-   timings from the pipeline report;
+   partitions the crawl frontier over map tasks that spool whole
+   fragments, and load tasks bulk-load the spools into the store inside
+   one write batch — with the per-stage timings from the pipeline report;
 2. prove the result is the same index the single-process crawl produces
    (identical ranked answers for a keyword query);
 3. run the same pipeline at a larger scale over the seeded
@@ -50,8 +49,8 @@ def main() -> None:
     workdir = tempfile.mkdtemp(prefix="repro-build-pipeline-")
 
     # 1. Distributed build over the fooddb crawl frontier.  The pipeline
-    #    partitions whole fragments across map tasks and whole keywords
-    #    across reduce partitions, so every shard is self-contained.
+    #    partitions whole fragments across map tasks, so every load task
+    #    hands complete fragments to the store's bulk_load.
     database = build_fooddb()
     application = make_application(database)
     engine = DashEngine.build_distributed(
@@ -61,8 +60,7 @@ def main() -> None:
     print(f"distributed fooddb build: {report.fragments} fragments, "
           f"{report.postings} postings, {report.keywords} keywords")
     print(f"  stages (s): map={report.map_seconds:.3f} "
-          f"reduce={report.reduce_seconds:.3f} load={report.load_seconds:.3f} "
-          f"merge={report.merge_seconds:.3f}")
+          f"load={report.load_seconds:.3f} merge={report.merge_seconds:.3f}")
 
     # 2. Same answers as the classic single-process crawl.
     reference = DashEngine.build(application, database, algorithm="integrated",

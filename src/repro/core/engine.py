@@ -209,11 +209,10 @@ class DashEngine:
         The batch-scale sibling of :meth:`build`: instead of running the
         MapReduce crawl simulation, the corpus is split into ``map_tasks``
         partitioned crawl jobs and driven through
-        :class:`~repro.build.BuildPipeline` — map tasks emit per-reduce
-        posting spools, ``num_reduce_tasks`` reduce tasks sort them into
-        per-shard runs, and (for a disk target) each run is bulk-loaded into
-        its own shard file in parallel across ``workers`` before a final
-        merge into the serving store.  The resulting store, index, graph and
+        :class:`~repro.build.BuildPipeline` — map tasks (on up to
+        ``workers`` threads) spool whole fragments, and ``num_reduce_tasks``
+        load tasks bulk-load the spools into the serving store inside one
+        write batch.  The resulting store, index, graph and
         searcher are byte-identical to :meth:`build`'s, so everything
         downstream — :meth:`serving`, :meth:`cluster`, a later
         :meth:`open` — attaches unchanged.
@@ -223,7 +222,7 @@ class DashEngine:
         :class:`~repro.core.crawler.PartitionedCrawlFrontier` over the
         application's (possibly source-recovered) query.  ``retry_policy``
         governs worker-failure retries (and carries the test suite's fault
-        injector); ``workdir`` pins the spool/shard directory (a temporary
+        injector); ``workdir`` pins the spool directory (a temporary
         directory otherwise).  Store selection (``store``/``store_path``)
         matches :meth:`build`.
         """

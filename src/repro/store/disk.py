@@ -60,8 +60,10 @@ scans.  Mutations never rewrite blocks in place: they append to a
 ``staged_postings`` log (plus a ``pending_removals`` set), and **the
 commit compacts first** — the affected keywords' blocks are rebuilt
 from stored-minus-removed plus staged under the canonical sort, inside the
-same transaction.  A *committed* file therefore always has an empty staged
-log and fully fresh block summaries: pooled readers decode blocks without
+same transaction.  The log is a pair of connection-local ``TEMP`` tables
+on the write connection, not part of the file: no committed file ever held
+a row of it, so it never takes pages there.  A *committed* file therefore
+has fully fresh block summaries: pooled readers decode blocks without
 ever merging, and the stored ``max_weight`` values are bit-identical to
 what the in-memory backends compute fresh (cross-backend partition bounds
 stay equal).  A file stamped with any other schema version is
@@ -154,18 +156,6 @@ CREATE TABLE IF NOT EXISTS fragment_terms (
     fragment TEXT PRIMARY KEY,
     terms    BLOB NOT NULL
 );
-CREATE TABLE IF NOT EXISTS staged_postings (
-    seq         INTEGER PRIMARY KEY AUTOINCREMENT,
-    keyword     TEXT NOT NULL,
-    fragment    TEXT NOT NULL,
-    tie         TEXT NOT NULL,
-    occurrences INTEGER NOT NULL
-);
-CREATE INDEX IF NOT EXISTS staged_by_keyword ON staged_postings (keyword, occurrences DESC, tie);
-CREATE INDEX IF NOT EXISTS staged_by_fragment ON staged_postings (fragment);
-CREATE TABLE IF NOT EXISTS pending_removals (
-    fragment TEXT PRIMARY KEY
-);
 CREATE TABLE IF NOT EXISTS nodes (
     id            TEXT PRIMARY KEY,
     keyword_count INTEGER NOT NULL
@@ -182,6 +172,26 @@ CREATE TABLE IF NOT EXISTS keyword_epochs (
 CREATE TABLE IF NOT EXISTS fragment_epochs (
     fragment TEXT PRIMARY KEY,
     epoch    INTEGER NOT NULL
+);
+"""
+
+# The staged write log lives only on the write connection: a committed file
+# never holds a row of it (the commit compacts first), so keeping it in the
+# database file would only leave its pages on the freelist.  On a file
+# written by an older build, these TEMP tables shadow the (empty) main-schema
+# ones of the same names.
+_STAGING_SCHEMA = """
+CREATE TEMP TABLE IF NOT EXISTS staged_postings (
+    seq         INTEGER PRIMARY KEY AUTOINCREMENT,
+    keyword     TEXT NOT NULL,
+    fragment    TEXT NOT NULL,
+    tie         TEXT NOT NULL,
+    occurrences INTEGER NOT NULL
+);
+CREATE INDEX IF NOT EXISTS staged_by_keyword ON staged_postings (keyword, occurrences DESC, tie);
+CREATE INDEX IF NOT EXISTS staged_by_fragment ON staged_postings (fragment);
+CREATE TEMP TABLE IF NOT EXISTS pending_removals (
+    fragment TEXT PRIMARY KEY
 );
 """
 
@@ -416,6 +426,7 @@ class DiskStore(FragmentStore):
                     )
                 return
             self._connection.executescript(_SCHEMA)
+            self._connection.executescript(_STAGING_SCHEMA)
             self._connection.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
             self._connection.commit()
 
@@ -704,12 +715,13 @@ class DiskStore(FragmentStore):
         """Fold the staged write log into the block tables (no commit).
 
         :meth:`write_batch` runs this before its commit, so a *committed*
-        file is always fully block-compacted: ``staged_postings`` and
-        ``pending_removals`` are empty on disk after any commit, pooled
-        readers decode blocks without merging, and every stored per-block
-        ``max_weight`` reflects the fragment sizes as of the commit —
-        bit-identical to the in-memory backends' fresh computation, which
-        keeps partition bounds equal across backends.
+        file is always fully block-compacted: the staged log is empty after
+        any commit, pooled readers decode blocks without merging, and every
+        stored per-block ``max_weight`` reflects the fragment sizes as of
+        the commit — bit-identical to the in-memory backends' fresh
+        computation, which keeps partition bounds equal across backends.
+        The dirty keywords are folded one ``_IN_CHUNK`` slice at a time, so
+        a large load or maintenance batch never holds every list at once.
         """
         if not self._dirty_keywords:
             return
@@ -719,27 +731,36 @@ class DiskStore(FragmentStore):
             for (encoded,) in connection.execute("SELECT fragment FROM pending_removals")
         }
         dirty = sorted(self._dirty_keywords)
+        for start in range(0, len(dirty), self._IN_CHUNK):
+            self._compact_keywords(dirty[start : start + self._IN_CHUNK], removed)
+        # Dirty marking is exhaustive (every staged row / removal marks its
+        # keywords), so the whole log is folded now.
+        connection.execute("DELETE FROM staged_postings")
+        connection.execute("DELETE FROM pending_removals")
+        self._dirty_keywords = set()
+
+    def _compact_keywords(self, keywords: List[str], removed: Set[str]) -> None:
+        """Rebuild the blocks of one ``_IN_CHUNK`` slice of dirty keywords."""
+        connection = self._connection
+        placeholders = ",".join("?" for _ in keywords)
         staged: Dict[str, List[Tuple[str, int, str]]] = {}
         merged: Dict[str, List[Tuple[str, int]]] = {}
-        for start in range(0, len(dirty), self._IN_CHUNK):
-            chunk = dirty[start : start + self._IN_CHUNK]
-            placeholders = ",".join("?" for _ in chunk)
-            for keyword, encoded, occurrences, tie in connection.execute(
-                f"SELECT keyword, fragment, occurrences, tie FROM staged_postings "
-                f"WHERE keyword IN ({placeholders}) "
-                "ORDER BY keyword, occurrences DESC, tie ASC, seq ASC",
-                tuple(chunk),
-            ).fetchall():
-                staged.setdefault(keyword, []).append((encoded, occurrences, tie))
-            for keyword, blob in connection.execute(
-                f"SELECT keyword, entries FROM posting_blocks "
-                f"WHERE keyword IN ({placeholders}) ORDER BY keyword, block_no",
-                tuple(chunk),
-            ).fetchall():
-                kept = merged.setdefault(keyword, [])
-                for posting in decode_block(blob, lambda encoded: encoded):
-                    if posting.document_id not in removed:
-                        kept.append((posting.document_id, posting.term_frequency))
+        for keyword, encoded, occurrences, tie in connection.execute(
+            f"SELECT keyword, fragment, occurrences, tie FROM staged_postings "
+            f"WHERE keyword IN ({placeholders}) "
+            "ORDER BY keyword, occurrences DESC, tie ASC, seq ASC",
+            tuple(keywords),
+        ).fetchall():
+            staged.setdefault(keyword, []).append((encoded, occurrences, tie))
+        for keyword, blob in connection.execute(
+            f"SELECT keyword, entries FROM posting_blocks "
+            f"WHERE keyword IN ({placeholders}) ORDER BY keyword, block_no",
+            tuple(keywords),
+        ).fetchall():
+            kept = merged.setdefault(keyword, [])
+            for posting in decode_block(blob, lambda encoded: encoded):
+                if posting.document_id not in removed:
+                    kept.append((posting.document_id, posting.term_frequency))
         for keyword, additions in staged.items():
             # Stable merge under the canonical (occurrences DESC, tie,
             # insertion) order: stored entries precede staged ones at equal
@@ -764,21 +785,16 @@ class DiskStore(FragmentStore):
                     tuple(chunk),
                 ).fetchall()
             )
-        for keyword in dirty:
+        for keyword in keywords:
             self._write_keyword_blocks(keyword, merged.get(keyword, []), sizes)
-        # Dirty marking is exhaustive (every staged row / removal marks its
-        # keywords), so the whole log is folded now.
-        connection.execute("DELETE FROM staged_postings")
-        connection.execute("DELETE FROM pending_removals")
-        self._dirty_keywords = set()
 
     @contextlib.contextmanager
     def write_batch(self):
         """One crash-safe transaction for every write issued inside the scope.
 
-        The store's only commit protocol: every write method — postings,
-        graph section and the build pipeline's loaders alike — runs inside a
-        scope, and a bare call opens its own.
+        The store's only commit protocol: every write method — postings
+        and graph section alike — runs inside a scope, and a bare call opens
+        its own.
 
         * data writes stage on the write connection and **commit once**, at
           scope exit, compacted first (:meth:`_compact`); a crash loses the
@@ -1050,152 +1066,6 @@ class DiskStore(FragmentStore):
                     f"bulk load would duplicate stored fragment {row[0]!r}; "
                     "bulk loads require fresh fragments"
                 )
-
-    # ------------------------------------------------------------------
-    # postings section — the sharded build's loaders
-    # ------------------------------------------------------------------
-    def bulk_load_run(self, postings, sizes) -> int:
-        """Stage one sorted posting run with authoritative fragment sizes.
-
-        The build pipeline's per-shard loader: ``postings`` is an iterable of
-        ``(keyword, identifier, occurrences)`` in canonical run order —
-        typically a *keyword partition*, so the run's fragments are not whole
-        here — and ``sizes`` maps every member identifier to its **global**
-        size (``INSERT OR REPLACE``, never accumulated), which is what keeps
-        the block summaries the scope's compaction builds bit-identical to a
-        whole-corpus build.  Term vectors are not touched; a merge step loads
-        them separately (:meth:`bulk_load_fragment_vectors`).  Returns the
-        number of staged postings.
-        """
-        by_encoded: Dict[str, FragmentId] = {}
-        fragment_rows: List[Tuple[str, int]] = []
-        for identifier, size in sizes.items():
-            identifier = tuple(identifier)
-            encoded = encode_identifier(identifier)
-            by_encoded[encoded] = identifier
-            fragment_rows.append((encoded, int(size)))
-        encoded_cache: Dict[FragmentId, Tuple[str, str]] = {}
-        staged_rows: List[Tuple[str, str, str, int]] = []
-        keywords: Set[str] = set()
-        for keyword, identifier, occurrences in postings:
-            if occurrences <= 0:
-                continue
-            identifier = tuple(identifier)
-            try:
-                encoded, tie = encoded_cache[identifier]
-            except KeyError:
-                encoded, tie = encoded_cache.setdefault(
-                    identifier, (encode_identifier(identifier), str(identifier))
-                )
-            staged_rows.append((keyword, encoded, tie, occurrences))
-            keywords.add(keyword)
-        with self.write_batch():
-            self._connection.executemany(
-                "INSERT INTO fragments (id, size) VALUES (?, ?) "
-                "ON CONFLICT (id) DO UPDATE SET size = excluded.size",
-                fragment_rows,
-            )
-            self._connection.executemany(
-                "INSERT INTO staged_postings (keyword, fragment, tie, occurrences) "
-                "VALUES (?, ?, ?, ?)",
-                staged_rows,
-            )
-            self._dirty_keywords.update(keywords)
-            self._batch_keywords.update(keywords)
-            self._batch_fragments.update(by_encoded)
-        return len(staged_rows)
-
-    def bulk_load_fragment_vectors(self, fragments) -> int:
-        """Write whole fragment rows — size and term vector — without postings.
-
-        The merge step of a sharded build: the posting blocks arrive via
-        :meth:`absorb_index_shard`, and this writes the authoritative
-        ``fragments`` / ``fragment_terms`` rows from the pipeline's fragment
-        spools (``(identifier, term_frequencies)`` pairs, whole vectors).
-        ``INSERT OR REPLACE`` semantics.  Returns the number of fragments
-        written.
-        """
-        fragment_rows: List[Tuple[str, int]] = []
-        term_rows: List[Tuple[str, bytes]] = []
-        by_encoded: Dict[str, FragmentId] = {}
-        for identifier, term_frequencies in fragments:
-            op = replace_op(identifier, term_frequencies)
-            encoded = encode_identifier(op.identifier)
-            size, vector = term_vector(op.term_frequencies)
-            fragment_rows.append((encoded, size))
-            if vector:
-                term_rows.append((encoded, encode_fragment_terms(vector)))
-            by_encoded[encoded] = op.identifier
-        with self.write_batch():
-            self._connection.executemany(
-                "INSERT INTO fragments (id, size) VALUES (?, ?) "
-                "ON CONFLICT (id) DO UPDATE SET size = excluded.size",
-                fragment_rows,
-            )
-            self._connection.executemany(
-                "INSERT INTO fragment_terms (fragment, terms) VALUES (?, ?) "
-                "ON CONFLICT (fragment) DO UPDATE SET terms = excluded.terms",
-                term_rows,
-            )
-            self._batch_fragments.update(by_encoded)
-        return len(fragment_rows)
-
-    def absorb_index_shard(self, path: str) -> int:
-        """Copy another committed DiskStore file's posting blocks into this one.
-
-        The fan-in step of the sharded build: each shard file holds the
-        canonical, already-compacted ``posting_blocks`` rows of a disjoint
-        keyword partition (built against global fragment sizes), so
-        absorbing is a straight row copy — no decoding, no re-sorting, no
-        re-blocking.  The shard's keywords must not already exist here, and
-        the open batch must hold no staged writes for them; violating either
-        raises :class:`StoreError`.  Returns the number of block rows copied.
-        """
-        with self.write_batch():
-            source = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
-            try:
-                staged = source.execute(
-                    "SELECT (SELECT COUNT(*) FROM staged_postings) + "
-                    "(SELECT COUNT(*) FROM pending_removals)"
-                ).fetchone()[0]
-                if staged:
-                    raise StoreError(
-                        f"index shard {path!r} holds {staged} uncompacted staged "
-                        "writes; only a committed shard can be absorbed"
-                    )
-                cursor = source.execute(
-                    "SELECT keyword, block_no, count, max_occurrences, max_weight, "
-                    "entries FROM posting_blocks"
-                )
-                keywords: Set[str] = set()
-                copied = 0
-                while True:
-                    rows = cursor.fetchmany(4096)
-                    if not rows:
-                        break
-                    keywords.update(row[0] for row in rows)
-                    if self._dirty_keywords.intersection(keywords):
-                        raise StoreError(
-                            "absorbing a shard over staged writes for its keywords "
-                            "would fold them twice; absorb in a batch of its own"
-                        )
-                    try:
-                        self._connection.executemany(
-                            "INSERT INTO posting_blocks "
-                            "(keyword, block_no, count, max_occurrences, max_weight, "
-                            "entries) VALUES (?, ?, ?, ?, ?, ?)",
-                            rows,
-                        )
-                    except sqlite3.IntegrityError as error:
-                        raise StoreError(
-                            f"index shard {path!r} overlaps keywords already stored "
-                            "here; shards must hold disjoint keyword partitions"
-                        ) from error
-                    copied += len(rows)
-            finally:
-                source.close()
-            self._batch_keywords.update(keywords)
-        return copied
 
     # ------------------------------------------------------------------
     # postings section — reads

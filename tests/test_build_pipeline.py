@@ -1,18 +1,19 @@
 """Parity + fault-injection suite pinning the distributed build pipeline.
 
 The contract under test (``repro.build``): a distributed crawl→index build —
-partitioned map tasks, sorted-run reduce tasks, parallel per-shard bulk loads,
-final merge — produces output **byte-identical** to a single-process build
+partitioned map tasks, then load tasks bulk-loading the map spools inside one
+write batch — produces output **byte-identical** to a single-process build
 over the same corpus, for every partitioning, on every store backend, and
-even when map/reduce/load workers are killed mid-run and retried.
+even when map/load workers are killed mid-run and retried.
 """
 
 import os
+import sqlite3
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.build import BuildPipeline, BuildPipelineError, shard_path
+from repro.build import BuildPipeline, BuildPipelineError
 from repro.core.crawler import PartitionedCrawlFrontier
 from repro.core.engine import DashEngine
 from repro.core.fragments import derive_fragments
@@ -371,7 +372,7 @@ class TestFaultInjection:
         ).run(store)
         return store, report
 
-    @pytest.mark.parametrize("phase", ["map", "reduce"])
+    @pytest.mark.parametrize("phase", ["map"])
     def test_killed_worker_is_retried_to_identical_output(
         self, corpus, expected, tmp_path, phase
     ):
@@ -384,9 +385,12 @@ class TestFaultInjection:
         assert dump_disk(store) == expected
         store.close()
 
-    def test_killed_load_worker_leaves_no_torn_shard(self, corpus, expected, tmp_path):
-        # kill between staging and finalize — the worst moment: the shard
-        # file exists and is full of staged rows, but finalize() never ran.
+    def test_killed_load_finalize_is_retried_to_identical_output(
+        self, corpus, expected, tmp_path
+    ):
+        # kill the second load task after the first one already staged its
+        # fragments into the open write batch: the retry must neither lose
+        # nor double them, and no spool temp file may be left behind.
         workdir = str(tmp_path / "work")
         injector, fired = _kill_once("load:finalize", task_index=1)
         store, report = self._run_with_injector(
@@ -395,38 +399,36 @@ class TestFaultInjection:
         assert fired == [("load:finalize", 1, 1)]
         assert report.retries == {"load": 1}
         assert dump_disk(store) == expected
-        leftovers = [
-            name
-            for name in os.listdir(workdir)
-            if name.endswith(".building") or name.endswith(".tmp")
-        ]
-        assert leftovers == []
+        assert not [name for name in os.listdir(workdir) if name.endswith(".tmp")]
         store.close()
 
-    def test_exhausted_retries_never_publish_a_shard(self, corpus, tmp_path):
-        # every attempt of load task 0 dies mid-load: the build must fail
-        # loudly AND leave no partially-loaded shard file behind.
-        workdir = str(tmp_path / "work")
-
+    def test_exhausted_retries_leave_the_disk_target_empty(self, corpus, tmp_path):
+        # load task 0 succeeds, then every attempt of load task 1 dies: the
+        # build must fail loudly AND roll task 0's fragments back too, so
+        # the file holds no row of the failed build.
         def injector(phase, index, attempt):
-            if phase == "load:finalize" and index == 0:
+            if phase == "load:finalize" and index == 1:
                 raise TaskFailure("persistent crash")
 
-        store = DiskStore(str(tmp_path / "target.sqlite"))
-        with pytest.raises(JobError, match="load task 0 failed 2 attempts"):
+        path = str(tmp_path / "target.sqlite")
+        store = DiskStore(path)
+        with pytest.raises(JobError, match="load task 1 failed 2 attempts"):
             BuildPipeline(
                 corpus,
                 map_tasks=2,
                 reduce_tasks=2,
                 workers=1,
-                workdir=workdir,
                 retry_policy=RetryPolicy(max_attempts=2, failure_injector=injector),
             ).run(store)
-        assert not os.path.exists(shard_path(workdir, 0)), "torn shard published"
-        assert not os.path.exists(os.path.join(workdir, "shard-0.building"))
-        # the target store was never touched
-        assert store.fragment_count() == 0
+        assert store.fragment_count() == 0 and store.vocabulary() == ()
+        assert store.epoch == 0
         store.close()
+        connection = sqlite3.connect(path)
+        try:
+            for table in ("fragments", "fragment_terms", "posting_blocks"):
+                assert connection.execute(f"SELECT COUNT(*) FROM {table}").fetchone() == (0,)
+        finally:
+            connection.close()
 
     def test_memory_target_fault_injection(self, corpus):
         reference = naive_build(corpus, InMemoryStore())
@@ -446,7 +448,7 @@ class TestFaultInjection:
 
     def test_memory_target_skips_posting_spools_and_reduce(self, corpus, tmp_path):
         # whole fragments go straight from the map spools to bulk_load:
-        # nothing would read a posting spool or a sorted run
+        # no reduce task runs and the workdir holds only the map spools
         workdir = str(tmp_path / "work")
         reduced = []
         report = BuildPipeline(

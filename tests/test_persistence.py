@@ -15,12 +15,15 @@ Two guarantees stack on the :class:`~repro.store.DiskStore` backend:
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from repro.core.engine import DashEngine, DashEngineError
 from repro.core.incremental import IncrementalMaintainer
 from repro.store import DiskStore, EpochClock, InMemoryStore
 from repro.store.disk import decode_identifier, encode_identifier
+from repro.store.mutations import RemoveFragment, ReplaceFragment, TouchFragment
 
 
 def _result_tuples(results):
@@ -145,6 +148,117 @@ class TestWarmRestart:
         reopened = DashEngine.open(disk_path, search_application, build_fooddb())
         assert _result_tuples(reopened.search(["burger"], k=3, size_threshold=20)) == expected
         reopened.store.close()
+
+
+# ----------------------------------------------------------------------
+# file layout: the staged write log never reaches the database file
+# ----------------------------------------------------------------------
+def _file_query(path, sql):
+    connection = sqlite3.connect(path)
+    try:
+        return connection.execute(sql).fetchall()
+    finally:
+        connection.close()
+
+
+_LEGACY_STAGING_TABLES = """
+CREATE TABLE staged_postings (
+    seq         INTEGER PRIMARY KEY AUTOINCREMENT,
+    keyword     TEXT NOT NULL,
+    fragment    TEXT NOT NULL,
+    tie         TEXT NOT NULL,
+    occurrences INTEGER NOT NULL
+);
+CREATE INDEX staged_by_keyword ON staged_postings (keyword, occurrences DESC, tie);
+CREATE INDEX staged_by_fragment ON staged_postings (fragment);
+CREATE TABLE pending_removals (
+    fragment TEXT PRIMARY KEY
+);
+"""
+
+
+def _grown_fooddb(restaurants):
+    """A fooddb-shaped database large enough that its staged log spans pages."""
+    from repro.datasets.fooddb import comment_schema, customer_schema, restaurant_schema
+    from repro.db.database import Database
+
+    database = Database("grown")
+    for schema in (restaurant_schema(), customer_schema(), comment_schema()):
+        database.create_relation(schema)
+    database.insert("customer", ("u0", "User0"))
+    for index in range(restaurants):
+        rid = f"r{index:05d}"
+        database.insert(
+            "restaurant", (rid, f"Place {index}", f"Cuisine{index // 12}", 5 + index % 12, 4.0)
+        )
+        database.insert(
+            "comment",
+            (f"c{index:05d}", rid, "u0", f"dish{index % 97} dish{index % 89} burger", "07/12"),
+        )
+    return database
+
+
+class TestFileLayout:
+    def test_built_files_have_no_free_pages(self, search_spec, tmp_path):
+        from repro.datasets.fooddb import fooddb_search_query
+        from repro.webapp.application import WebApplication
+
+        database = _grown_fooddb(120)
+        application = WebApplication(
+            name="Search",
+            uri="www.example.com/Search",
+            query=fooddb_search_query(database),
+            query_string_spec=search_spec,
+        )
+        built = str(tmp_path / "built.sqlite")
+        distributed = str(tmp_path / "distributed.sqlite")
+        DashEngine.build(application, database, store="disk", store_path=built).store.close()
+        DashEngine.build_distributed(
+            application, database, workers=1, store="disk", store_path=distributed
+        ).store.close()
+        for path in (built, distributed):
+            assert _file_query(path, "PRAGMA freelist_count") == [(0,)], path
+
+    def test_file_with_main_schema_staging_tables_still_serves(self, tmp_path):
+        # a file written before the staged log moved to TEMP tables carries
+        # empty main-schema staging tables; they must not change a thing
+        corpus = [
+            (("Thai", 10), {"spicy": 2, "noodle": 1}),
+            (("Thai", 11), {"spicy": 1}),
+            (("Diner", 20), {"burger": 3, "fries": 2}),
+            (("Diner", 21), {"burger": 1}),
+        ]
+        batch = [
+            ReplaceFragment(("Thai", 11), {"noodle": 4, "curry": 1}),
+            RemoveFragment(("Diner", 20)),
+            ReplaceFragment(("Cafe", 30), {"coffee": 2, "burger": 2}),
+            TouchFragment(("Cafe", 31)),
+        ]
+        legacy, fresh = str(tmp_path / "legacy.sqlite"), str(tmp_path / "fresh.sqlite")
+        for path in (legacy, fresh):
+            with DiskStore(path) as store:
+                store.bulk_load(corpus)
+        connection = sqlite3.connect(legacy)
+        connection.executescript(_LEGACY_STAGING_TABLES)
+        connection.close()
+
+        states = []
+        for path in (legacy, fresh):
+            with DiskStore(path, create=False) as store:
+                store.apply_mutations(batch)
+                items = [
+                    (keyword, [(p.document_id, p.term_frequency) for p in postings])
+                    for keyword, postings in store.iter_items()
+                ]
+                sizes = store.fragment_sizes()
+            rows = [
+                _file_query(path, f"SELECT * FROM {table} ORDER BY 1, 2")
+                for table in ("posting_blocks", "fragments", "fragment_terms")
+            ]
+            states.append((items, sizes, rows))
+        assert states[0] == states[1]
+        for table in ("staged_postings", "pending_removals"):
+            assert _file_query(legacy, f"SELECT COUNT(*) FROM main.{table}") == [(0,)]
 
 
 # ----------------------------------------------------------------------

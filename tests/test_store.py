@@ -412,7 +412,13 @@ class TestWriteVocabulary:
             store.replace_fragment(("a", 2), {"kw": 5})
             store.add_node(("a", 2), 5)
         assert store.epoch == clock[0] + 1
-        assert file_rows("staged_postings") == 0 and file_rows("pending_removals") == 0
+        connection = sqlite3.connect(path)
+        try:
+            tables = {name for (name,) in connection.execute("SELECT name FROM sqlite_schema")}
+        finally:
+            connection.close()
+        # the staged log is connection-local: the file holds no staging table
+        assert not tables & {"staged_postings", "pending_removals"}, tables
         assert file_rows("nodes") == 1
         reference = InMemoryStore()
         reference.bulk_load([(("a", 1), {"kw": 2}), (("a", 2), {"kw": 5})])
