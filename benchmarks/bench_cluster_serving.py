@@ -120,10 +120,6 @@ class NodeCapacityStore(InMemoryStore):
         self._pay()
         return super().fragment_term_frequencies_for(identifiers)
 
-    def neighbors(self, identifier):
-        self._pay()
-        return super().neighbors(identifier)
-
 
 def capacity_factory(delay_seconds: float) -> Callable[[str, int], NodeCapacityStore]:
     """A ``node_store`` factory giving every node one shared capacity lock."""

@@ -30,7 +30,7 @@ def _build_state():
     query = tpch_queries(database)["Q2"]
     fragments = derive_fragments(query, database)
     index = InvertedFragmentIndex.from_fragments(fragments)
-    graph = FragmentGraph.build(query, fragment_sizes(fragments))
+    graph = FragmentGraph.build(query, fragment_sizes(fragments), store=index.store)
     return database, query, index, graph
 
 
@@ -67,8 +67,8 @@ def test_incremental_maintenance_vs_full_rebuild(benchmark):
     for relation_name, record in updates:
         rebuild_database.insert(relation_name, record)
         fragments = derive_fragments(rebuild_query, rebuild_database)
-        InvertedFragmentIndex.from_fragments(fragments)
-        FragmentGraph.build(rebuild_query, fragment_sizes(fragments))
+        rebuilt = InvertedFragmentIndex.from_fragments(fragments)
+        FragmentGraph.build(rebuild_query, fragment_sizes(fragments), store=rebuilt.store)
     rebuild_seconds = time.perf_counter() - started
 
     rows = [

@@ -57,7 +57,7 @@ from repro.datasets.fooddb import (
 from repro.datasets.workloads import zipf_keyword_queries, zipf_mutation_stream
 from repro.db.database import Database
 from repro.db.sqlparse import parse_psj_query
-from repro.store import DiskStore, InMemoryStore, replace_op
+from repro.store import DiskStore, InMemoryStore, RemoveFragment, replace_op
 from repro.webapp.application import WebApplication
 from repro.webapp.request import QueryStringSpec
 
@@ -134,15 +134,12 @@ class PerFragmentMaintainer(IncrementalMaintainer):
         for identifier in affected:
             fragment = fragments.get(identifier)
             if fragment is None or fragment.size == 0 and fragment.record_count == 0:
-                self.index.remove_fragment(identifier)
-                if self.graph.has_fragment(identifier):
-                    self.graph.remove_fragment(identifier)
-                continue
-            self.index.replace_fragment(identifier, fragment.term_frequencies)
-            if self.graph.has_fragment(identifier):
-                self.graph.update_keyword_count(identifier, fragment.size)
+                op = RemoveFragment(identifier)
             else:
-                self.graph.add_fragment(identifier, fragment.size)
+                op = replace_op(identifier, fragment.term_frequencies)
+            # one swap per fragment, with the touches of the chain
+            # neighbours it moves (if it enters or leaves a chain)
+            self.index.apply_mutations([op] + self.graph.neighbor_touches([op]))
         self.index.finalize()
         self.fragments_touched += len(affected)
 

@@ -86,7 +86,7 @@ class BlockingReadStore(InMemoryStore):
     """An in-memory store whose hot-path reads block for a fixed latency.
 
     Emulates the backend of a deployed search tier — remote partitions, disk —
-    where each postings/size/adjacency lookup is a round-trip.  Thread-pool
+    where each postings/size lookup is a round-trip.  Thread-pool
     concurrency overlaps those waits, which is what the worker-scaling
     section measures (pure in-memory reads are GIL-bound and cannot scale).
     """
@@ -107,10 +107,6 @@ class BlockingReadStore(InMemoryStore):
     def fragment_sizes_for(self, identifiers):
         self._block()
         return super().fragment_sizes_for(identifiers)
-
-    def neighbors(self, identifier):
-        self._block()
-        return super().neighbors(identifier)
 
 
 class StorageLatencyDiskStore(DiskStore):

@@ -30,7 +30,7 @@ def searcher_and_workloads(tpch_query_sets, medium_q2_fragments):
     """A searcher over the Q2/medium fragment index plus the keyword workloads."""
     query = tpch_query_sets["medium"]["Q2"]
     index = InvertedFragmentIndex.from_fragments(medium_q2_fragments)
-    graph = FragmentGraph.build(query, fragment_sizes(medium_q2_fragments))
+    graph = FragmentGraph.build(query, fragment_sizes(medium_q2_fragments), store=index.store)
     spec = QueryStringSpec((("r", "r"), ("lo", "min"), ("hi", "max")))
     searcher = TopKSearcher(index, graph, UrlFormulator(query, spec, "shop.example.com/Orders"))
     workloads = select_keyword_workloads(index.document_frequencies(), group_size=30)

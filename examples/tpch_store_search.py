@@ -10,7 +10,8 @@ example runs the whole Dash pipeline at laptop scale:
 2. synthesise the application's servlet source and statically analyse it,
 3. crawl the database with both the stepwise and the integrated algorithms and
    compare their cost (the Figure 10 mechanism),
-4. build the fragment graph (Table IV statistics), and
+4. report the fragment graph (Table IV statistics) — its chains are derived
+   from the stored fragment identifiers, so there is no graph to build, and
 5. run hot / warm / cold keyword searches (the Figure 11 workload) and check
    the suggested URLs against the simulated web server.
 
@@ -58,8 +59,9 @@ def main() -> None:
     print("\nFragment index / graph (Table IV statistics):")
     print(f"  fragments              : {engine.index.fragment_count}")
     print(f"  avg keywords / fragment: {engine.index.average_keywords_per_fragment():.1f}")
-    print(f"  graph edges            : {engine.graph.edge_count}")
-    print(f"  graph build time       : {engine.build_report.graph.build_seconds * 1000:.1f} ms")
+    print(f"  graph edges            : {engine.graph.edge_count} "
+          "(chains derived from the fragment identifiers)")
+    print(f"  pre-sorted comparisons : {engine.build_report.graph.comparisons}")
 
     # Keyword workloads by document frequency (Section VII-B).
     workloads = select_keyword_workloads(engine.index.document_frequencies(), group_size=5)

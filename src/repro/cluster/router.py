@@ -1117,7 +1117,7 @@ class SearchCluster:
         """Snapshot the partition's primary and restore it into a fresh store.
 
         The existing backend-independent snapshot machinery does the heavy
-        lifting: postings, sizes, graph and the partition's epoch clock all
+        lifting: postings, sizes and the partition's epoch clock all
         travel, so the clone is indistinguishable from the primary at cut
         time — including for the epoch-equality freshness check.
         """

@@ -133,7 +133,7 @@ class ClusterStore(FragmentStore):
         return [self._primary(partition) for partition in range(self.partition_count)]
 
     # ------------------------------------------------------------------
-    # postings section — writes
+    # writes
     # ------------------------------------------------------------------
     @contextlib.contextmanager
     def write_batch(self):
@@ -245,7 +245,7 @@ class ClusterStore(FragmentStore):
         return applied
 
     # ------------------------------------------------------------------
-    # postings section — reads
+    # reads
     # ------------------------------------------------------------------
     def postings_for_many(self, keywords: Sequence[str]) -> Dict[str, Tuple[Posting, ...]]:
         unique = list(dict.fromkeys(keywords))
@@ -307,64 +307,6 @@ class ClusterStore(FragmentStore):
         return tuple(sorted(keywords))
 
     # ------------------------------------------------------------------
-    # graph section
-    # ------------------------------------------------------------------
-    def add_node(self, identifier: FragmentId, keyword_count: int) -> None:
-        identifier = tuple(identifier)
-        self._owner(identifier).add_node(identifier, keyword_count)
-        self._tick((), (identifier,))
-
-    def remove_node(self, identifier: FragmentId) -> None:
-        identifier = tuple(identifier)
-        self._owner(identifier).remove_node(identifier)
-        self._tick((), (identifier,))
-
-    def has_node(self, identifier: FragmentId) -> bool:
-        return self._owner(tuple(identifier)).has_node(tuple(identifier))
-
-    def node_keyword_count(self, identifier: FragmentId) -> int:
-        return self._owner(tuple(identifier)).node_keyword_count(tuple(identifier))
-
-    def set_node_keyword_count(self, identifier: FragmentId, keyword_count: int) -> None:
-        identifier = tuple(identifier)
-        self._owner(identifier).set_node_keyword_count(identifier, keyword_count)
-        self._tick((), (identifier,))
-
-    def node_ids(self) -> Tuple[FragmentId, ...]:
-        identifiers: List[FragmentId] = []
-        for store in self._primaries():
-            identifiers.extend(store.node_ids())
-        return tuple(identifiers)
-
-    def node_count(self) -> int:
-        return sum(store.node_count() for store in self._primaries())
-
-    def add_neighbor(self, identifier: FragmentId, neighbor: FragmentId) -> None:
-        identifier, neighbor = tuple(identifier), tuple(neighbor)
-        owning = self.partition_of(identifier)
-        if self.partition_of(neighbor) != owning:
-            # Equality-group partitioning guarantees adjacency never crosses
-            # partitions; an edge that would is a partitioner bug, and
-            # storing it would silently break search locality.
-            raise StoreError(
-                f"cross-partition edge {identifier!r} -> {neighbor!r}: adjacency "
-                "must stay inside one equality group / partition"
-            )
-        self._primary(owning).add_neighbor(identifier, neighbor)
-        self._tick((), (identifier,))
-
-    def discard_neighbor(self, identifier: FragmentId, neighbor: FragmentId) -> None:
-        identifier = tuple(identifier)
-        self._owner(identifier).discard_neighbor(identifier, tuple(neighbor))
-        self._tick((), (identifier,))
-
-    def neighbors(self, identifier: FragmentId) -> Tuple[FragmentId, ...]:
-        return self._owner(tuple(identifier)).neighbors(tuple(identifier))
-
-    def edge_count(self) -> int:
-        return sum(store.edge_count() for store in self._primaries())
-
-    # ------------------------------------------------------------------
     def _group_by_partition(
         self, identifiers: Sequence[FragmentId]
     ) -> Dict[int, List[FragmentId]]:
@@ -378,30 +320,20 @@ def populate_from_store(cluster: ClusterStore, source: FragmentStore) -> None:
     """Replay a built single store into the cluster's partition primaries.
 
     Partition-restricted build: the source's inverted lists are regrouped
-    into whole fragments (duplicate postings and all), each partition
-    primary takes its share as one :meth:`~repro.store.FragmentStore.bulk_load`
-    and its nodes and edges through the facade, all inside one
-    ``write_batch`` of that primary; the facade clock finally loads the
-    *source* clock's state — so cache stamps taken against the source store
-    stay comparable, exactly like a snapshot restore.  Partition stores keep
-    the clocks their own replayed writes produced; replicas are cut from
-    those afterwards.
+    into whole fragments (duplicate postings and all), and each partition
+    primary takes its share as one
+    :meth:`~repro.store.FragmentStore.bulk_load`; the facade clock finally
+    loads the *source* clock's state — so cache stamps taken against the
+    source store stay comparable, exactly like a snapshot restore.
+    Partition stores keep the clocks their own replayed writes produced;
+    replicas are cut from those afterwards.
     """
     fragments = regroup_posting_lists(source.iter_items(), source.fragment_ids())
     owned = cluster._group_by_partition(fragments)
-    nodes = cluster._group_by_partition(source.node_ids())
     for partition in range(cluster.partition_count):
-        primary = cluster._primary(partition)
-        members = nodes.get(partition, ())
-        with primary.write_batch():
-            primary.bulk_load(
-                (identifier, fragments[identifier]) for identifier in owned.get(partition, ())
-            )
-            for identifier in members:
-                cluster.add_node(identifier, source.node_keyword_count(identifier))
-            for identifier in members:
-                for neighbor in source.neighbors(identifier):
-                    cluster.add_neighbor(identifier, neighbor)
+        cluster._primary(partition).bulk_load(
+            (identifier, fragments[identifier]) for identifier in owned.get(partition, ())
+        )
     cluster.finalize()
     epoch, keyword_epochs, fragment_epochs = source.epochs.state()
     cluster.load_epochs(epoch, keyword_epochs, fragment_epochs, floor=source.epochs.floor)

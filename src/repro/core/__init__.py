@@ -15,8 +15,9 @@
 * :mod:`repro.core.engine` — the :class:`DashEngine` facade wiring analysis,
   crawling, indexing and search together (Figure 4).
 
-Serving-side storage (postings, fragment sizes, graph adjacency) is pluggable
-through :mod:`repro.store`: the index and graph facades program against the
+Serving-side storage (postings and fragment sizes; graph adjacency is derived
+from them) is pluggable through :mod:`repro.store`: the index and graph
+facades program against the
 :class:`~repro.store.FragmentStore` interface, with
 :class:`~repro.store.InMemoryStore` and the persistent
 :class:`~repro.store.DiskStore` as backends; splitting a corpus N ways is

@@ -9,8 +9,8 @@ Wires the whole pipeline together for one web application over one database:
    integrated MapReduce workflow to build the inverted fragment index,
    loading the consolidated posting lists straight into the configured
    :class:`~repro.store.FragmentStore` backend.
-3. **Fragment graph construction** — build the combinability graph, into the
-   same store.
+3. **Fragment graph** — the combinability graph, derived from the fragment
+   identifiers in the same store (nothing is built or stored).
 4. **Top-k search** — answer keyword queries with db-page URLs.
 """
 
@@ -116,7 +116,6 @@ class DashEngine:
         algorithm: str = "integrated",
         runtime: Optional[MapReduceRuntime] = None,
         analyze_source: bool = True,
-        presorted_graph: bool = True,
         num_reduce_tasks: int = 4,
         store: StoreSpec = None,
         store_path: Optional[str] = None,
@@ -134,8 +133,9 @@ class DashEngine:
         :func:`repro.store.resolve_store`): ``"memory"`` (default) or
         ``"disk"`` together with ``store_path=`` for a persistent sqlite
         store a later process can re-attach to with :meth:`open` — no
-        re-crawl.  The crawl output, the fragment graph and the searcher all
-        share the resolved store.  A store is one partition; to split the
+        re-crawl.  The crawl output, the fragment graph (derived from the
+        stored fragments, never written) and the searcher all share the
+        resolved store.  A store is one partition; to split the
         built corpus N ways, call :meth:`cluster`.
         """
         if algorithm not in _CRAWLERS:
@@ -146,7 +146,7 @@ class DashEngine:
             fragment_store = resolve_store(store, path=store_path)
         except Exception as error:
             raise DashEngineError(str(error)) from error
-        if fragment_store.fragment_count() or fragment_store.node_count():
+        if fragment_store.fragment_count():
             # Loading a second crawl into a populated store would duplicate
             # postings and corrupt every TF denominator before anything fails.
             if not isinstance(store, FragmentStore):
@@ -176,7 +176,6 @@ class DashEngine:
         graph, graph_report = FragmentGraph.build_with_report(
             effective_application.query,
             crawl_result.index.fragment_sizes,
-            presorted=presorted_graph,
             store=fragment_store,
         )
         report = DashBuildReport(crawl=crawl_result, graph=graph_report, analyzed=analyzed)
@@ -200,7 +199,6 @@ class DashEngine:
         workdir: Optional[str] = None,
         retry_policy: Optional[RetryPolicy] = None,
         analyze_source: bool = True,
-        presorted_graph: bool = True,
         store: StoreSpec = None,
         store_path: Optional[str] = None,
     ) -> "DashEngine":
@@ -234,7 +232,7 @@ class DashEngine:
             fragment_store = resolve_store(store, path=store_path)
         except Exception as error:
             raise DashEngineError(str(error)) from error
-        if fragment_store.fragment_count() or fragment_store.node_count():
+        if fragment_store.fragment_count():
             if not isinstance(store, FragmentStore):
                 _close_store(fragment_store)
             raise DashEngineError(
@@ -262,7 +260,6 @@ class DashEngine:
         graph, graph_report = FragmentGraph.build_with_report(
             effective_application.query,
             index.fragment_sizes,
-            presorted=presorted_graph,
             store=fragment_store,
         )
         report = DashBuildReport(

@@ -16,28 +16,33 @@ one BETWEEN range parameter), that means:
 Fragments with different equality values are never connected — e.g. the
 ``(Thai, 10)`` node is disconnected from the ``American`` chain in Figure 9.
 
-The class supports both the paper's incremental insertion (add one fragment at
-a time, splitting an existing edge when the new fragment falls between its two
-endpoints) and the pre-sorted bulk construction the paper recommends as an
-optimisation.
+So every equality group is one path, and the graph is a function of the
+fragment identifiers alone: nothing about it is stored.  The nodes are the
+fragments of a :class:`~repro.store.FragmentStore` (their keyword counts are
+the store's fragment sizes), and a fragment's neighbours are the members at
+positions ± 1 of its group sorted by range value.  The top-k searcher reads
+the same chains from its per-epoch group table
+(:class:`~repro.core.search.TopKSearcher`); this class is the paper's facade
+over them, plus the two things a writer needs from the definition —
+:meth:`FragmentGraph.chain` and :meth:`FragmentGraph.neighbor_touches`.
 
-Node and adjacency storage is delegated to a pluggable
-:class:`~repro.store.FragmentStore` backend; pass the same store the inverted
-fragment index uses and the whole serving state (postings, sizes, adjacency)
-lives in one place.
+:meth:`FragmentGraph.build` keeps the paper's two construction strategies as
+a cost model (Table IV): the per-turn insertion compares each new fragment
+with every node already present, while the pre-sorted construction extends
+the end of its group's chain with a single comparison.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.fragments import FragmentId, identifier_order
 from repro.db.query import BetweenCondition, ParameterizedPSJQuery
-from repro.db.types import compare_values
 from repro.store.base import FragmentStore
 from repro.store.memory import InMemoryStore
+from repro.store.mutations import Mutation, RemoveFragment, TouchFragment
 
 
 class FragmentGraphError(Exception):
@@ -56,13 +61,19 @@ class GraphBuildReport:
 
 
 class FragmentGraph:
-    """Fragment adjacency plus per-fragment keyword counts."""
+    """Chain adjacency derived from a store's fragment identifiers."""
 
     def __init__(self, query: ParameterizedPSJQuery, store: Optional[FragmentStore] = None) -> None:
         self.query = query
         self._store = store if store is not None else InMemoryStore()
         self._equality_positions, self._range_positions = _condition_positions(query)
         self.comparisons = 0
+        # (store epoch, group -> members, group -> chain): the groups come
+        # from one identifier pass per epoch, and a chain is sorted the
+        # first time one of its members is asked about.  Like the
+        # searcher's group table, it describes the store as read outside
+        # the reader's own write batch.
+        self._chains: Tuple[int, Dict[Tuple, List[FragmentId]], Dict[Tuple, Dict]] = (-1, {}, {})
 
     @property
     def store(self) -> FragmentStore:
@@ -80,43 +91,21 @@ class FragmentGraph:
         presorted: bool = True,
         store: Optional[FragmentStore] = None,
     ) -> "FragmentGraph":
-        """Build the graph for all fragments in ``fragment_sizes``.
+        """The graph over ``store``, costed as a build of ``fragment_sizes``.
 
-        ``presorted=True`` applies the paper's optimisation: fragments are
-        sorted by their query-parameter values before insertion, so each one
-        simply extends the end of its equality group's chain — a single
-        comparison per fragment instead of a scan over all existing nodes.
+        Nothing is written: adjacency is derived from the store's fragments.
+        ``comparisons`` counts what constructing the chains of
+        ``fragment_sizes`` costs.  ``presorted=True`` is the paper's
+        optimisation: fragments are sorted by their query-parameter values
+        and each one simply extends the end of its group's chain — a single
+        comparison per fragment.  ``presorted=False`` is the per-turn
+        insertion, which compares each new fragment with every node already
+        inserted.
         """
         graph = cls(query, store=store)
-        # Graph construction is a bulk load like the index's: one write
-        # batch, so a persistent backend commits the adjacency once.
-        with graph._store.write_batch():
-            if not presorted:
-                for identifier in fragment_sizes:
-                    graph.add_fragment(identifier, fragment_sizes[identifier])
-                return graph
-
-            def group_then_range(identifier: FragmentId):
-                return (
-                    identifier_order(graph.group_key(identifier)),
-                    identifier_order(graph._range_key(identifier)),
-                )
-
-            identifiers = sorted((tuple(identifier) for identifier in fragment_sizes), key=group_then_range)
-            previous: Optional[FragmentId] = None
-            for identifier in identifiers:
-                if graph._store.has_node(identifier):
-                    raise FragmentGraphError(f"fragment {identifier!r} already in the graph")
-                graph._store.add_node(identifier, fragment_sizes[identifier])
-                if (
-                    graph._range_positions
-                    and previous is not None
-                    and graph.group_key(previous) == graph.group_key(identifier)
-                ):
-                    graph._store.add_edge(previous, identifier)
-                graph.comparisons += 1
-                previous = identifier
-            return graph
+        count = len(fragment_sizes)
+        graph.comparisons = count if presorted else count * (count - 1) // 2
+        return graph
 
     @classmethod
     def build_with_report(
@@ -135,54 +124,11 @@ class FragmentGraph:
         report = GraphBuildReport(
             build_seconds=elapsed,
             fragment_count=len(fragment_sizes),
-            edge_count=graph.edge_count,
+            edge_count=graph._edges_among(fragment_sizes),
             average_keywords=average,
             comparisons=graph.comparisons,
         )
         return graph, report
-
-    def add_fragment(self, identifier: FragmentId, keyword_count: int) -> None:
-        """Incrementally insert one fragment (the paper's per-turn insertion).
-
-        The new node is linked to its neighbours within its equality group;
-        if it falls strictly between two currently-connected fragments, their
-        edge is removed and replaced by two edges through the new node.
-        """
-        identifier = tuple(identifier)
-        if self._store.has_node(identifier):
-            raise FragmentGraphError(f"fragment {identifier!r} already in the graph")
-        self._store.add_node(identifier, keyword_count)
-
-        if not self._range_positions:
-            # No range parameter: every fragment is its own maximal db-page.
-            return
-
-        group = self.group_key(identifier)
-        below: Optional[FragmentId] = None
-        above: Optional[FragmentId] = None
-        for other in self._store.node_ids():
-            if other == identifier:
-                continue
-            self.comparisons += 1
-            if self.group_key(other) != group:
-                continue
-            comparison = self._compare_range(other, identifier)
-            if comparison < 0:
-                if below is None or self._compare_range(other, below) > 0:
-                    below = other
-            elif comparison > 0:
-                if above is None or self._compare_range(other, above) < 0:
-                    above = other
-            else:
-                raise FragmentGraphError(
-                    f"two fragments share the identifier components {identifier!r}"
-                )
-        if below is not None and above is not None and self.are_connected(below, above):
-            self._store.remove_edge(below, above)
-        if below is not None:
-            self._store.add_edge(below, identifier)
-        if above is not None:
-            self._store.add_edge(identifier, above)
 
     # ------------------------------------------------------------------
     # ordering helpers
@@ -198,89 +144,143 @@ class FragmentGraph:
             return identifier
         return tuple(map(identifier.__getitem__, self._equality_positions))
 
-    def _range_key(self, identifier: FragmentId) -> Tuple:
-        return tuple(identifier[position] for position in self._range_positions)
+    def _range_order(self, identifier: FragmentId) -> Tuple:
+        """The sort key of ``identifier`` along its group's chain.
 
-    def _compare_range(self, left: FragmentId, right: FragmentId) -> int:
-        for position in self._range_positions:
-            comparison = compare_values(left[position], right[position])
-            if comparison != 0:
-                return comparison
-        return 0
+        :func:`~repro.core.fragments.identifier_order` of the range
+        components: it orders like
+        :func:`~repro.db.types.compare_values` within one value domain,
+        and stays a total order when a group mixes domains.
+        """
+        return identifier_order(tuple(identifier[position] for position in self._range_positions))
+
+    def chain(self, members: Iterable[FragmentId]) -> Dict[FragmentId, Tuple[FragmentId, ...]]:
+        """Each member's neighbours in the chain ``members`` form.
+
+        ``members`` are one equality group's fragments; each maps to the
+        members at positions ± 1 in range order, sorted by
+        :func:`~repro.core.fragments.identifier_order`.  With no range
+        condition every fragment is its own maximal db-page: no neighbours.
+        """
+        if not self._range_positions:
+            return {member: () for member in members}
+        ordered = sorted(members, key=self._range_order)
+        # Within one group identifier order *is* range order (the equality
+        # components are equal), so the lower neighbour is listed first.
+        return {
+            member: tuple(ordered[max(position - 1, 0) : position])
+            + tuple(ordered[position + 1 : position + 2])
+            for position, member in enumerate(ordered)
+        }
+
+    def neighbor_touches(self, batch: Sequence[Mutation]) -> List[TouchFragment]:
+        """Touch ops for the chain neighbours of what ``batch`` adds or removes.
+
+        Adjacency is derived, so inserting a fragment into a chain (or
+        removing one) changes its neighbours' adjacency without writing
+        them.  A writer appends these ops to the same
+        :meth:`~repro.store.FragmentStore.apply_mutations` batch: each
+        touch stamps a neighbour's fragment epoch, which is what retires a
+        cached answer that expanded it.  For every fragment whose presence
+        the batch flips, the touched fragments are its members at positions
+        ± 1 among the group's fragments before *or* after the batch — which
+        covers every fragment whose neighbours differ between the two.
+        Fragments the batch writes anyway are left out (a touch after a
+        remove would re-register the fragment).  Read against this graph's
+        store, before the batch is applied.
+        """
+        if not self._range_positions:
+            return []
+        final: Dict[FragmentId, bool] = {}
+        for op in batch:
+            final[tuple(op.identifier)] = not isinstance(op, RemoveFragment)
+        flipped = [
+            identifier
+            for identifier, present in final.items()
+            if present != self._store.has_fragment(identifier)
+        ]
+        if not flipped:
+            return []
+        groups = {self.group_key(identifier) for identifier in flipped}
+        members: Dict[Tuple, Set[FragmentId]] = {group: set() for group in groups}
+        for identifier in list(self._store.fragment_ids()) + flipped:
+            group = self.group_key(identifier)
+            if group in members:
+                members[group].add(identifier)
+        touched: Set[FragmentId] = set()
+        for group in members.values():
+            adjacency = self.chain(group)
+            for identifier in flipped:
+                touched.update(adjacency.get(identifier, ()))
+        return [
+            TouchFragment(identifier)
+            for identifier in sorted(touched - final.keys(), key=identifier_order)
+        ]
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def has_fragment(self, identifier: FragmentId) -> bool:
-        return self._store.has_node(tuple(identifier))
+        return self._store.has_fragment(tuple(identifier))
 
     def keyword_count(self, identifier: FragmentId) -> int:
-        try:
-            return self._store.node_keyword_count(tuple(identifier))
-        except KeyError:
-            raise FragmentGraphError(f"unknown fragment {identifier!r}") from None
+        """The node value of Figure 9: the fragment's size."""
+        identifier = tuple(identifier)
+        if not self._store.has_fragment(identifier):
+            raise FragmentGraphError(f"unknown fragment {identifier!r}")
+        return self._store.fragment_size(identifier)
+
+    def _chain_of(self, identifier: FragmentId) -> Dict[FragmentId, Tuple[FragmentId, ...]]:
+        """The :meth:`chain` of ``identifier``'s group, memoised per store epoch."""
+        epoch, groups, chains = self._chains
+        if epoch != self._store.epoch:
+            epoch, groups, chains = self._store.epoch, {}, {}
+            for member in self._store.fragment_ids():
+                groups.setdefault(self.group_key(member), []).append(member)
+            self._chains = (epoch, groups, chains)
+        group = self.group_key(identifier)
+        if group not in chains:
+            chains[group] = self.chain(groups.get(group, ()))
+        return chains[group]
 
     def neighbors(self, identifier: FragmentId) -> Tuple[FragmentId, ...]:
         """Fragments directly combinable with ``identifier``."""
         identifier = tuple(identifier)
         try:
-            neighbors = self._store.neighbors(identifier)
+            return self._chain_of(identifier)[identifier]
         except KeyError:
             raise FragmentGraphError(f"unknown fragment {identifier!r}") from None
-        return tuple(sorted(neighbors, key=identifier_order))
 
     def are_connected(self, left: FragmentId, right: FragmentId) -> bool:
-        left = tuple(left)
-        if not self._store.has_node(left):
+        if not self.has_fragment(left):
             return False
-        return tuple(right) in self._store.neighbors(left)
+        return tuple(right) in self.neighbors(left)
 
     def fragment_ids(self) -> Tuple[FragmentId, ...]:
-        return self._store.node_ids()
+        return self._store.fragment_ids()
 
     @property
     def fragment_count(self) -> int:
-        return self._store.node_count()
+        return self._store.fragment_count()
 
     @property
     def edge_count(self) -> int:
-        return self._store.edge_count()
+        """One edge per fragment but the first of each chain."""
+        return self._edges_among(self._store.fragment_ids())
+
+    def _edges_among(self, identifiers: Iterable[FragmentId]) -> int:
+        if not self._range_positions:
+            return 0
+        identifiers = list(identifiers)
+        return len(identifiers) - len({self.group_key(tuple(member)) for member in identifiers})
 
     def connected_component(self, identifier: FragmentId) -> Tuple[FragmentId, ...]:
-        """All fragments reachable from ``identifier`` (one application chain)."""
+        """All fragments reachable from ``identifier``: its whole chain."""
         identifier = tuple(identifier)
-        if not self._store.has_node(identifier):
+        chain = self._chain_of(identifier)
+        if identifier not in chain:
             raise FragmentGraphError(f"unknown fragment {identifier!r}")
-        seen: Set[FragmentId] = {identifier}
-        frontier: List[FragmentId] = [identifier]
-        while frontier:
-            current = frontier.pop()
-            for neighbor in self._store.neighbors(current):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    frontier.append(neighbor)
-        return tuple(sorted(seen, key=identifier_order))
-
-    def remove_fragment(self, identifier: FragmentId) -> None:
-        """Remove a fragment, reconnecting its neighbours (incremental deletes)."""
-        identifier = tuple(identifier)
-        if not self._store.has_node(identifier):
-            return
-        neighbors = sorted(self._store.neighbors(identifier), key=identifier_order)
-        for neighbor in neighbors:
-            self._store.discard_neighbor(neighbor, identifier)
-        # Reconnect the two range-order neighbours so the chain stays intact.
-        if len(neighbors) == 2:
-            self._store.add_edge(neighbors[0], neighbors[1])
-        self._store.remove_node(identifier)
-
-    def update_keyword_count(self, identifier: FragmentId, keyword_count: int) -> None:
-        """Change a node's keyword count (incremental maintenance)."""
-        identifier = tuple(identifier)
-        try:
-            self._store.set_node_keyword_count(identifier, keyword_count)
-        except KeyError:
-            raise FragmentGraphError(f"unknown fragment {identifier!r}") from None
+        return tuple(sorted(chain, key=identifier_order))
 
 
 def _condition_positions(query: ParameterizedPSJQuery) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -292,4 +292,3 @@ def _condition_positions(query: ParameterizedPSJQuery) -> Tuple[Tuple[int, ...],
         else:
             equality.append(position)
     return tuple(equality), tuple(ranges)
-

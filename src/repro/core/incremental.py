@@ -16,25 +16,24 @@ joined rows that involve the changed record.  The maintainer therefore
    record through the query's join chain (restricted to the records that can
    actually reach it),
 2. re-derives exactly those fragments from the (already updated) database, and
-3. replaces their postings in the inverted fragment index and their nodes in
-   the fragment graph.
+3. replaces their postings in the inverted fragment index, touching the chain
+   neighbours of every fragment that appears or disappears (the fragment
+   graph is derived from the identifiers, so this is its whole update).
 
-The maintainer only ever talks to the index/graph facades, which route every
-per-fragment mutation to the underlying
+The maintainer only ever talks to the index/graph facades over one
 :class:`~repro.store.FragmentStore`.  The write path is **batched**: one
 maintenance round — a single :meth:`IncrementalMaintainer.insert`/``delete``
 or a whole burst handed to :meth:`IncrementalMaintainer.apply_updates` —
 derives every affected fragment once, coalesces repeated touches to the
 same fragment, and emits a single
-:meth:`~repro.store.FragmentStore.apply_mutations` batch wrapped (together
-with the round's graph updates) in one
+:meth:`~repro.store.FragmentStore.apply_mutations` batch wrapped in one
 :meth:`~repro.store.FragmentStore.write_batch` scope.  On the persistent
 backend that makes the whole round one crash-safe sqlite transaction; on
 every backend the round finalizes the index exactly once and ticks the
 epoch clock once, so serving caches drop precisely the entries the round
-could have changed.  Because a fragment's postings, size and graph node
-all live on the identifier's owning partition, a cluster routes the batch
-per partition.
+could have changed.  Because a fragment's postings and size — and its
+whole chain — live on the identifier's owning partition, a cluster routes
+the batch per partition.
 """
 
 from __future__ import annotations
@@ -87,6 +86,10 @@ class IncrementalMaintainer:
         index: InvertedFragmentIndex,
         graph: FragmentGraph,
     ) -> None:
+        if graph.store is not index.store:
+            # The graph derives chains from the store the index writes: over
+            # any other store its neighbour touches would read stale chains.
+            raise IncrementalMaintenanceError("the index and the graph must share one store")
         self.query = query
         self.database = database
         self.index = index
@@ -99,16 +102,16 @@ class IncrementalMaintainer:
 
     @property
     def store(self):
-        """The index's storage backend (shared with the graph in engine wiring)."""
+        """The storage backend the index and the graph share."""
         return self.index.store
 
     @property
     def epoch(self) -> int:
         """The store's current mutation epoch.
 
-        Every ``insert``/``delete`` this maintainer applies bumps it (postings
-        swaps, graph-node and adjacency updates each tick the store's
-        :class:`~repro.store.EpochClock`), which is what lets a
+        Every ``insert``/``delete`` this maintainer applies bumps it (one
+        mutation batch ticks the store's :class:`~repro.store.EpochClock`
+        once), which is what lets a
         :class:`~repro.serving.SearchService` drop exactly the cached results
         the update could have changed.
         """
@@ -132,8 +135,7 @@ class IncrementalMaintainer:
         applied to the database in order, accumulating the union of affected
         fragment identifiers; the union is then refreshed once — one
         restricted derivation, one coalesced
-        :meth:`~repro.store.FragmentStore.apply_mutations` batch plus the
-        matching graph updates inside a single
+        :meth:`~repro.store.FragmentStore.apply_mutations` batch inside a single
         :meth:`~repro.store.FragmentStore.write_batch` scope, and one
         ``finalize``.  A burst that touches the same hot fragment N times
         therefore re-derives and swaps it once, and on ``DiskStore`` the
@@ -239,12 +241,13 @@ class IncrementalMaintainer:
         """Re-derive ``identifiers`` from the current database state and swap
         them in as one batched store round.
 
-        The round is atomic end to end: the postings batch and the graph
-        updates it implies share one
-        :meth:`~repro.store.FragmentStore.write_batch` scope (one sqlite
-        transaction on ``DiskStore``), the index finalizes exactly once per
-        applied batch, and the store's epoch clock ticks once for the whole
-        round.
+        The round is atomic end to end: one
+        :meth:`~repro.store.FragmentStore.apply_mutations` batch — the
+        replaced and removed fragments plus touches of the chain neighbours
+        they move (:meth:`~repro.core.fragment_graph.FragmentGraph.neighbor_touches`)
+        — inside one :meth:`~repro.store.FragmentStore.write_batch` scope (one
+        sqlite transaction on ``DiskStore``), the index finalizes exactly
+        once, and the store's epoch clock ticks once for the whole round.
         """
         if not identifiers:
             return
@@ -252,35 +255,19 @@ class IncrementalMaintainer:
         fragments = self._derive_restricted(affected)
         ordered = sorted(affected, key=str)
         batch: List[Mutation] = []
-        removed: List[FragmentId] = []
-        replaced: List[Tuple[FragmentId, Fragment]] = []
         for identifier in ordered:
             fragment = fragments.get(identifier)
             if fragment is None or fragment.size == 0 and fragment.record_count == 0:
                 # The fragment no longer exists (its last record was deleted).
                 batch.append(RemoveFragment(identifier))
-                removed.append(identifier)
             else:
-                replaced.append((identifier, fragment))
+                batch.append(replace_op(identifier, fragment.term_frequencies))
+        # Adjacency is derived from the identifiers, so a fragment entering
+        # or leaving a chain changes its neighbours without writing them:
+        # the batch touches them, which moves their fragment epochs.
+        batch.extend(self.graph.neighbor_touches(batch))
         with self.store.write_batch():
-            # Postings first (replaced fragments canonicalised through the
-            # index facade), then the graph section; on DiskStore both halves
-            # stage into the same transaction and commit together.
-            self.index.apply_mutations(
-                batch
-                + [
-                    replace_op(identifier, fragment.term_frequencies)
-                    for identifier, fragment in replaced
-                ]
-            )
-            for identifier in removed:
-                if self.graph.has_fragment(identifier):
-                    self.graph.remove_fragment(identifier)
-            for identifier, fragment in replaced:
-                if self.graph.has_fragment(identifier):
-                    self.graph.update_keyword_count(identifier, fragment.size)
-                else:
-                    self.graph.add_fragment(identifier, fragment.size)
+            self.index.apply_mutations(batch)
             self.index.finalize()
         self.fragments_touched += len(affected)
 

@@ -199,7 +199,7 @@ class DetailedSearch:
     """One search call's results plus its provenance.
 
     ``dependencies`` is every fragment the search *consulted* — seeds, page
-    members and every expansion candidate whose size or adjacency was read —
+    members and every expansion candidate whose size was read —
     plus every member of each equality group it never opened (the group was
     ruled out on its total size, which any member can change).
     Together with ``keywords`` (canonicalised) and ``epoch`` (the store epoch
@@ -207,7 +207,9 @@ class DetailedSearch:
     to decide later whether the entry is still fresh: the result can only
     change through a mutation that either touches some query keyword's
     postings or touches a consulted fragment, and both bump the corresponding
-    store epochs past ``epoch``.
+    store epochs past ``epoch`` (a fragment entering or leaving a chain is
+    written with touches of its chain neighbours, see
+    :meth:`~repro.core.fragment_graph.FragmentGraph.neighbor_touches`).
     """
 
     results: Tuple[SearchResult, ...]
@@ -218,17 +220,17 @@ class DetailedSearch:
 
 
 class _IdentifierCache:
-    """Scorers, order keys, neighbour lists and group sizes of one searcher, for one epoch.
+    """Scorers, order keys, groups and chains of one searcher, for one epoch.
 
-    All depend only on the query keywords' postings, identifiers, adjacency
-    and fragment sizes at one epoch, so every stream of a searcher shares
-    one instance (the cluster router's ``idf_overrides`` streams share all
-    but the scorers).  :meth:`TopKSearcher._shared_identifiers` replaces
-    (never clears) it when an epoch moves or the neighbour map outgrows its
-    capacity: a search in flight keeps a consistent cache, and no map
-    outlives the fragments it was filled from.  Plain dict reads and writes
-    — concurrent streams may compute an entry twice, never see a torn one;
-    the scorer LRU's compound updates take a lock.
+    All depend only on the query keywords' postings, the fragment
+    identifiers and their sizes at one epoch, so every stream of a searcher
+    shares one instance (the cluster router's ``idf_overrides`` streams
+    share all but the scorers).  :meth:`TopKSearcher._shared_identifiers`
+    replaces (never clears) it when the epoch moves: a search in flight
+    keeps a consistent cache, and no map outlives the fragments it was
+    filled from.  Plain dict reads and writes — concurrent streams may
+    compute an entry twice, never see a torn one; the scorer LRU's compound
+    updates take a lock.
     """
 
     __slots__ = (
@@ -247,7 +249,7 @@ class _IdentifierCache:
     #: Scorers kept per epoch, least recently used evicted first.
     SCORER_CAPACITY = 64
 
-    def __init__(self, graph: FragmentGraph, index: InvertedFragmentIndex, epoch: Tuple) -> None:
+    def __init__(self, graph: FragmentGraph, index: InvertedFragmentIndex, epoch: int) -> None:
         self.epoch = epoch
         self.orders: Dict[FragmentId, Tuple] = {}
         self.neighbors: Dict[FragmentId, Tuple[FragmentId, ...]] = {}
@@ -292,9 +294,13 @@ class _IdentifierCache:
         """
         if self._groups is None:
             members: Dict[Tuple, Dict[FragmentId, int]] = {}
+            # One key object per group, not per member: the memo holds
+            # every fragment for the epoch.
+            keys: Dict[Tuple, Tuple] = {}
             group_key = self._graph.group_key
             for member, size in self._index.store.fragment_sizes().items():
-                key = self.group_keys[member] = group_key(member)
+                key = group_key(member)
+                key = self.group_keys[member] = keys.setdefault(key, key)
                 members.setdefault(key, {})[member] = size
             self._groups = {key: (sum(sizes.values()), sizes) for key, sizes in members.items()}
         return self._groups.get(self.group_key(identifier), (0, {}))
@@ -307,10 +313,27 @@ class _IdentifierCache:
         return key
 
     def neighbors_of(self, identifier: FragmentId) -> Tuple[FragmentId, ...]:
-        """The graph's sorted neighbour list, memoised."""
+        """``identifier``'s chain neighbours, sorted by identifier order.
+
+        A group's chain is sorted the first time one of its members is
+        expanded, and all its members' neighbours are memoised for the
+        epoch — never every group up front.
+        """
         neighbors = self.neighbors.get(identifier)
         if neighbors is None:
-            neighbors = self.neighbors[identifier] = self._graph.neighbors(identifier)
+            members = self.group(identifier)[1]
+            if identifier not in members:
+                # The size table is read after the postings, so a batch
+                # racing the two reads can leave a seed out of it: take its
+                # chain from the store's identifiers instead.
+                key = self.group_key(identifier)
+                members = [
+                    member
+                    for member in self._index.store.fragment_ids()
+                    if self.group_key(member) == key
+                ]
+            self.neighbors.update(self._graph.chain(members))
+            neighbors = self.neighbors.setdefault(identifier, ())
         return neighbors
 
 
@@ -319,10 +342,6 @@ class TopKSearcher:
 
     ``early_termination`` accepts only ``False`` — the one seeding path left.
     """
-
-    #: Neighbour lists the shared identifier cache may hold before a search
-    #: start resets it (order keys are reset with them).
-    NEIGHBOR_CAPACITY = 65536
 
     def __init__(
         self,
@@ -343,7 +362,7 @@ class TopKSearcher:
         self._lifetime: Dict[str, int] = {"searches": 0, "scorer_reuses": 0, "scorer_builds": 0}
         self._lifetime.update({field_name: 0 for field_name in LIFETIME_FIELDS})
         self._identifiers_lock = threading.Lock()
-        self._identifiers = _IdentifierCache(graph, index, self._store_epochs())
+        self._identifiers = _IdentifierCache(graph, index, index.store.epoch)
 
     def lifetime_statistics(self) -> Dict[str, float]:
         """Running totals over every search this searcher has answered.
@@ -363,24 +382,17 @@ class TopKSearcher:
         )
         return snapshot
 
-    def _store_epochs(self) -> Tuple[int, int]:
-        return self.graph.store.epoch, self.index.store.epoch
-
     def _shared_identifiers(self) -> _IdentifierCache:
         """The shared identifier cache, revalidated for a search starting now.
 
-        Validated against the stores it reads — the graph's for adjacency,
-        the index's for postings and sizes (an engine shares one store
-        between the two).  A read-only searcher
-        would otherwise accumulate a second copy of the store's adjacency;
-        the periodic capacity reset bounds memory at the cost of re-fetching
-        hot lists and one more size pass.
+        Everything in it derives from the index's store, so that store's
+        epoch is the one stamp it is validated against.
         """
-        epochs = self._store_epochs()
+        epoch = self.index.store.epoch
         with self._identifiers_lock:
             cache = self._identifiers
-            if epochs != cache.epoch or len(cache.neighbors) > self.NEIGHBOR_CAPACITY:
-                cache = self._identifiers = _IdentifierCache(self.graph, self.index, epochs)
+            if epoch != cache.epoch:
+                cache = self._identifiers = _IdentifierCache(self.graph, self.index, epoch)
             return cache
 
     # ------------------------------------------------------------------

@@ -4,7 +4,7 @@ A :class:`FaultPlane` is one registry of :class:`FaultRule`\\ s plus the
 set of permanently dead nodes.  Cluster stores are wrapped with
 :meth:`FaultPlane.wrap_store`, which intercepts exactly the query-time read
 surface (block directories, posting/size/term batches and their single-item
-forms, graph adjacency, snapshot cuts) and consults the plane before delegating; a matching rule
+forms, snapshot cuts) and consults the plane before delegating; a matching rule
 then injects a latency spike (sleep), a transient error burst
 (:class:`NodeFault`), or permanent node death (:class:`NodeDown` from that
 call on, until :meth:`FaultPlane.revive_node`).
@@ -56,7 +56,6 @@ INTERCEPTED_OPERATIONS: Tuple[str, ...] = (
     "fragment_term_frequencies_for",
     "fragment_size",
     "fragment_sizes_for",
-    "neighbors",
     "snapshot",
 )
 
@@ -316,9 +315,8 @@ class FaultPlane:
 
 
 def _intercept(plane: FaultPlane, node_id: str, operation: str, inner_method: Any):
-    # Bind everything once at wrap time: the graph expansion loop reads
-    # `neighbors` hundreds of times per query, so the per-call cost of this
-    # closure (one plane consult + the delegated call) is the whole
+    # Bind everything once at wrap time: a query makes many store reads, so
+    # the per-call cost of this closure (one plane consult + the delegated call) is the whole
     # zero-fault overhead of chaos-wiring a cluster.
     plane_operation = plane.operation
 

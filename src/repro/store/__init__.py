@@ -5,7 +5,7 @@
 * :mod:`repro.store.memory` — :class:`InMemoryStore`, the single-partition
   backend (the seed implementation's dictionaries, extracted).
 * :mod:`repro.store.disk` — :class:`DiskStore`, the persistent sqlite3
-  backend: the crawl, the graph and the epoch clock survive process exit,
+  backend: the crawl and the epoch clock survive process exit,
   and every ``write_batch`` is one crash-safe transaction.
 * :mod:`repro.store.snapshot` — backend-independent snapshot files
   (:meth:`FragmentStore.snapshot` / :meth:`FragmentStore.from_snapshot`).

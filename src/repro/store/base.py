@@ -7,13 +7,11 @@ dictionaries, so the storage backend can be swapped (in-memory dictionaries,
 a persistent sqlite file, a cluster facade, ...) without touching the
 algorithms.
 
-The store keeps two sections that the paper's serving pipeline needs:
-
-* the **postings section** — keyword -> inverted list of
-  ``(fragment identifier, occurrences)`` postings plus every fragment's total
-  keyword count (its *size*), and
-* the **graph section** — one node per fragment (annotated with the keyword
-  count shown in Figure 9) and the combinability adjacency between them.
+The store keeps what the paper's serving pipeline needs: keyword ->
+inverted list of ``(fragment identifier, occurrences)`` postings plus every
+fragment's total keyword count (its *size*, the node value of Figure 9).  The
+fragment graph is not stored: its adjacency is a function of the fragment
+identifiers (:mod:`repro.core.fragment_graph`).
 
 Contract notes shared by all backends:
 
@@ -23,14 +21,14 @@ Contract notes shared by all backends:
 * :meth:`postings` and :meth:`iter_items` return lists sorted by descending
   occurrence count with ``str(identifier)`` as the tie-break, exactly like the
   conventional inverted file of Section II;
-* the postings section is read in **batches**: a backend implements
+* the store is read in **batches**: a backend implements
   :meth:`~FragmentStore.postings_for_many`,
   :meth:`~FragmentStore.fragment_term_frequencies_for` and
   :meth:`~FragmentStore.fragment_sizes_for` (plus the whole-store reads),
   and ``postings`` / ``fragment_term_frequencies`` / ``term_frequency`` /
   ``fragment_size`` / ``fragment_frequency`` / ``vocabulary_size`` /
   ``iter_items`` are defined once, here, on top of them;
-* the postings section is written in **whole fragments**, the two ways the
+* the store is written in **whole fragments**, the two ways the
   paper writes its index: :meth:`~FragmentStore.bulk_load` takes fragments
   not yet stored (the crawl, Section V) and
   :meth:`~FragmentStore.apply_mutations` swaps, removes or registers stored
@@ -61,7 +59,7 @@ class StoreError(Exception):
 
 
 class FragmentStore(ABC):
-    """Abstract storage for fragment postings, sizes and graph adjacency.
+    """Abstract storage for fragment postings and sizes.
 
     Every store owns an :class:`~repro.store.EpochClock`.  Ticking it
     **after every completed write** is part of the write-method contract:
@@ -97,7 +95,7 @@ class FragmentStore(ABC):
         return self._epoch_clock.keyword_epoch(keyword)
 
     def fragment_epoch(self, identifier: FragmentId) -> int:
-        """Epoch of ``identifier``'s last change — postings, node or adjacency."""
+        """Epoch of ``identifier``'s last change — postings, size or a touch."""
         return self._epoch_clock.fragment_epoch(identifier)
 
     def load_epochs(
@@ -183,7 +181,7 @@ class FragmentStore(ABC):
         return self._epoch_clock.sweep(self._effective_sweep_bound(oldest_live_stamp))
 
     # ------------------------------------------------------------------
-    # postings section — writes
+    # writes
     # ------------------------------------------------------------------
     # The write core is three calls, native on every backend: bulk_load for
     # fragments not yet stored, apply_mutations for everything that changes
@@ -212,8 +210,8 @@ class FragmentStore(ABC):
 
         The base implementation is a no-op scope (in-memory backends need no
         transaction bracket); :class:`~repro.store.DiskStore` overrides it so
-        that every write issued inside the scope — including graph-section
-        writes — commits as **one** sqlite transaction with the epoch
+        that every write issued inside the scope commits as **one** sqlite
+        transaction with the epoch
         write-through for the whole batch in that same transaction, and the
         clock ticks once after the commit
         (:class:`~repro.cluster.ClusterStore` opens one scope per partition
@@ -242,7 +240,7 @@ class FragmentStore(ABC):
         """
 
     def touch_fragment(self, identifier: FragmentId) -> None:
-        """Register ``identifier`` with size 0 if it is not stored yet."""
+        """Stamp ``identifier``'s epoch, registering it with size 0 if it is not stored yet."""
         self.apply_mutations([TouchFragment(identifier)])
 
     def remove_fragment(self, identifier: FragmentId) -> None:
@@ -269,7 +267,7 @@ class FragmentStore(ABC):
         """
 
     # ------------------------------------------------------------------
-    # postings section — reads
+    # reads
     # ------------------------------------------------------------------
     # The read core is three batched reads plus the whole-store reads, native
     # on every backend.  The single-item reads below are one-key batches,
@@ -372,7 +370,7 @@ class FragmentStore(ABC):
 
     @abstractmethod
     def has_fragment(self, identifier: FragmentId) -> bool:
-        """Whether the postings section knows ``identifier``."""
+        """Whether the store holds ``identifier``."""
 
     @abstractmethod
     def fragment_count(self) -> int:
@@ -383,7 +381,7 @@ class FragmentStore(ABC):
         """Every indexed keyword."""
 
     def approximate_bytes(self) -> int:
-        """Rough serialized size of the postings section (ablation benchmarks).
+        """Rough serialized size of the postings (ablation benchmarks).
 
         Counts each keyword header once globally, regardless of how many
         partitions its postings are spread over.
@@ -397,74 +395,25 @@ class FragmentStore(ABC):
                     total += len(str(component)) + 1
         return total
 
-    # ------------------------------------------------------------------
-    # graph section — nodes
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def add_node(self, identifier: FragmentId, keyword_count: int) -> None:
-        """Create a graph node (with an empty neighbour set)."""
-
-    @abstractmethod
-    def remove_node(self, identifier: FragmentId) -> None:
-        """Drop a node and its neighbour set (callers detach edges first)."""
-
-    @abstractmethod
-    def has_node(self, identifier: FragmentId) -> bool:
-        """Whether the graph section knows ``identifier``."""
-
-    @abstractmethod
-    def node_keyword_count(self, identifier: FragmentId) -> int:
-        """The node's keyword-count annotation (raises KeyError when unknown)."""
-
-    @abstractmethod
-    def set_node_keyword_count(self, identifier: FragmentId, keyword_count: int) -> None:
-        """Change a node's keyword-count annotation."""
-
-    @abstractmethod
-    def node_ids(self) -> Tuple[FragmentId, ...]:
-        """Every graph node identifier."""
-
-    @abstractmethod
-    def node_count(self) -> int:
-        """Number of graph nodes."""
-
-    # ------------------------------------------------------------------
-    # graph section — adjacency
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def add_neighbor(self, identifier: FragmentId, neighbor: FragmentId) -> None:
-        """Record ``neighbor`` in ``identifier``'s neighbour set (one direction)."""
-
-    @abstractmethod
-    def discard_neighbor(self, identifier: FragmentId, neighbor: FragmentId) -> None:
-        """Remove ``neighbor`` from ``identifier``'s neighbour set (one direction)."""
-
-    def add_edge(self, left: FragmentId, right: FragmentId) -> None:
-        """Connect two fragments (both directions)."""
-        self.add_neighbor(left, right)
-        self.add_neighbor(right, left)
-
-    def remove_edge(self, left: FragmentId, right: FragmentId) -> None:
-        """Disconnect two fragments (both directions)."""
-        self.discard_neighbor(left, right)
-        self.discard_neighbor(right, left)
-
-    @abstractmethod
     def neighbors(self, identifier: FragmentId) -> Tuple[FragmentId, ...]:
-        """The node's neighbour set, in storage order (raises KeyError when unknown)."""
+        """Not a store read: chain adjacency is derived, never stored.
 
-    @abstractmethod
-    def edge_count(self) -> int:
-        """Number of undirected edges."""
+        The end-to-end benchmark's tracer still wraps ``DiskStore.neighbors``
+        by name (``POINT_READS`` in ``benchmarks/e2e/e2ebench/runner.py``), so
+        the attribute must resolve; nothing calls it.  It goes when that
+        list stops naming it.  Adjacency is
+        :meth:`~repro.core.fragment_graph.FragmentGraph.neighbors`.
+        """
+        raise NotImplementedError("adjacency is derived: see FragmentGraph.neighbors")
 
     # ------------------------------------------------------------------
     # snapshots (dataset reuse across runs and processes)
     # ------------------------------------------------------------------
     def snapshot(self, path: str) -> str:
-        """Serialize the whole store (both sections + clock) to ``path``.
+        """Serialize the whole store (postings, sizes, clock) to ``path``.
 
         Works for every backend: the snapshot captures postings, fragment
-        sizes, graph nodes, adjacency and the full :class:`EpochClock` state,
+        sizes and the full :class:`EpochClock` state,
         and is written atomically (temp file + ``os.replace``) so a crash
         mid-write never leaves a truncated snapshot behind.  Returns the
         written path.  Restore with :meth:`from_snapshot`.

@@ -1,8 +1,7 @@
 """The persistent on-disk backend (sqlite3, standard library only).
 
 :class:`DiskStore` keeps the entire serving state — keyword postings,
-fragment sizes, graph nodes, adjacency *and* the store's
-:class:`~repro.store.EpochClock` — in one sqlite database file, so a crawl
+fragment sizes *and* the store's :class:`~repro.store.EpochClock` — in one sqlite database file, so a crawl
 survives process exit: a restarted server re-attaches with
 ``DiskStore(path)`` (or :meth:`repro.core.engine.DashEngine.open`) and
 serves exactly the results it served before, without re-crawling, and with
@@ -14,10 +13,9 @@ Consistency model
 
 There is one write protocol: **every write runs inside a**
 :meth:`DiskStore.write_batch` **scope, and the scope's exit is the only
-commit.**  A bare write call (``bulk_load``, ``apply_mutations``, a
-graph-section write) opens a scope of its own; loops that issue many —
-the crawl load, graph construction, snapshot restore, a maintenance round
-with its graph updates — open one around themselves.  Everything staged
+commit.**  A bare write call (``bulk_load``, ``apply_mutations``) opens a
+scope of its own; loops that issue many — the crawl load, snapshot restore,
+a maintenance round — open one around themselves.  Everything staged
 inside a scope commits as a single sqlite transaction (WAL mode,
 ``synchronous=NORMAL``): a crash or a raise loses the whole batch, never
 half, so a fragment is never half-replaced on disk, and a WAL reader — in
@@ -46,10 +44,10 @@ Identifiers are flat tuples of scalars (strings, numbers, booleans,
 the posting sort order tie-breaks on, so ``ORDER BY occurrences DESC, tie``
 reproduces the canonical inverted-list order byte for byte.
 
-Block layout (schema v2)
+Block layout (schema v3)
 ------------------------
 
-Schema v2 replaces the row-per-posting table with the block-max layout of
+Schema v2 replaced the row-per-posting table with the block-max layout of
 :mod:`repro.store.blocks`: each keyword's impact-ordered list is stored as
 ``posting_blocks`` rows — one delta+varint BLOB per :data:`~repro.store.blocks.BLOCK_SIZE`
 postings, with the block's ``count`` / ``max_occurrences`` / ``max_weight``
@@ -66,7 +64,10 @@ a row of it, so it never takes pages there.  A *committed* file therefore
 has fully fresh block summaries: pooled readers decode blocks without
 ever merging, and the stored ``max_weight`` values are bit-identical to
 what the in-memory backends compute fresh (cross-backend partition bounds
-stay equal).  A file stamped with any other schema version is
+stay equal).  Schema v3 drops the ``nodes`` / ``edges`` tables: chain
+adjacency is derived from the identifiers
+(:mod:`repro.core.fragment_graph`), and every node value already is a
+``fragments`` size.  A file stamped with any other schema version is
 refused with a :class:`~repro.store.StoreError` on open.
 
 Thread-safety and the read-connection pool
@@ -132,7 +133,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
 #: Bump when the table layout changes; stored in ``PRAGMA user_version``.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -156,15 +157,6 @@ CREATE TABLE IF NOT EXISTS fragment_terms (
     fragment TEXT PRIMARY KEY,
     terms    BLOB NOT NULL
 );
-CREATE TABLE IF NOT EXISTS nodes (
-    id            TEXT PRIMARY KEY,
-    keyword_count INTEGER NOT NULL
-);
-CREATE TABLE IF NOT EXISTS edges (
-    src TEXT NOT NULL,
-    dst TEXT NOT NULL,
-    PRIMARY KEY (src, dst)
-) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS keyword_epochs (
     keyword TEXT PRIMARY KEY,
     epoch   INTEGER NOT NULL
@@ -352,7 +344,6 @@ class DiskStore(FragmentStore):
             self._cache_lock = threading.Lock()
             self._postings_cache: Dict[str, Tuple[int, Tuple[Posting, ...]]] = {}
             self._sizes_cache: Dict[FragmentId, Tuple[int, int]] = {}
-            self._neighbors_cache: Dict[FragmentId, Tuple[int, Tuple[FragmentId, ...]]] = {}
             # Block directories are validated against the *store-wide*
             # epoch, not the keyword epoch: a fragment-size change stales a
             # block's max_weight without ticking the keyword, and the store
@@ -590,12 +581,10 @@ class DiskStore(FragmentStore):
             dropped = (
                 len(self._postings_cache)
                 + len(self._sizes_cache)
-                + len(self._neighbors_cache)
                 + len(self._blocks_cache)
             )
             self._postings_cache = {}
             self._sizes_cache = {}
-            self._neighbors_cache = {}
             self._blocks_cache = {}
         return dropped
 
@@ -604,9 +593,8 @@ class DiskStore(FragmentStore):
 
         ``None`` for the thread that owns the open :meth:`write_batch`: its
         staged rows are only visible to the connection that wrote them, and
-        its own maintenance logic (graph surgery over fragments the batch
-        already removed) depends on them, so the owner reads through the
-        write connection (locked).  Every other thread keeps using its
+        what it reads inside its own batch must include them, so the owner
+        reads through the write connection (locked).  Every other thread keeps using its
         pooled snapshot connection while a batch is open — the staged rows
         must stay invisible until the batch commits, so a racing reader sees
         the complete pre-batch state, never a torn one.
@@ -792,9 +780,8 @@ class DiskStore(FragmentStore):
     def write_batch(self):
         """One crash-safe transaction for every write issued inside the scope.
 
-        The store's only commit protocol: every write method — postings
-        and graph section alike — runs inside a scope, and a bare call opens
-        its own.
+        The store's only commit protocol: every write method runs inside a
+        scope, and a bare call opens its own.
 
         * data writes stage on the write connection and **commit once**, at
           scope exit, compacted first (:meth:`_compact`); a crash loses the
@@ -871,7 +858,6 @@ class DiskStore(FragmentStore):
                         self._blocks_cache.pop(keyword, None)
                     for identifier in fragments.values():
                         self._sizes_cache.pop(identifier, None)
-                        self._neighbors_cache.pop(identifier, None)
 
     def load_epochs(
         self,
@@ -938,7 +924,7 @@ class DiskStore(FragmentStore):
         return pruned
 
     # ------------------------------------------------------------------
-    # postings section — writes
+    # writes
     # ------------------------------------------------------------------
     # Nothing here rewrites a posting block in place: new postings append to
     # the ``staged_postings`` log, removed fragments join
@@ -1002,8 +988,8 @@ class DiskStore(FragmentStore):
     def apply_mutations(self, batch) -> int:
         """Apply a whole replace/remove/touch batch in one transaction.
 
-        Joins the enclosing :meth:`write_batch` (a maintenance round's graph
-        updates commit with it) or opens its own.  A non-persistable
+        Joins the enclosing :meth:`write_batch` (a maintenance round's) or
+        opens its own.  A non-persistable
         identifier is refused before anything hashes it, and every
         identifier is encoded before the first write.
         """
@@ -1019,11 +1005,10 @@ class DiskStore(FragmentStore):
             incoming = []
             for op, encoded in zip(ops, encoded_ids):
                 if isinstance(op, TouchFragment):
-                    registered = self._connection.execute(
+                    self._connection.execute(
                         "INSERT OR IGNORE INTO fragments (id, size) VALUES (?, 0)", (encoded,)
                     )
-                    if registered.rowcount:
-                        self._batch_fragments[encoded] = op.identifier
+                    self._batch_fragments[encoded] = op.identifier
                     continue
                 self._delete_fragment_rows(encoded, op.identifier)
                 if isinstance(op, ReplaceFragment):
@@ -1068,7 +1053,7 @@ class DiskStore(FragmentStore):
                 )
 
     # ------------------------------------------------------------------
-    # postings section — reads
+    # reads
     # ------------------------------------------------------------------
     #: Bound variables per IN (...) chunk — stays under sqlite's default
     #: SQLITE_MAX_VARIABLE_NUMBER on every supported build.
@@ -1355,113 +1340,3 @@ class DiskStore(FragmentStore):
                 if grouped[keyword]:
                     self._blocks_cache[keyword] = (stamp, handle)
         return results
-
-    # ------------------------------------------------------------------
-    # graph section
-    # ------------------------------------------------------------------
-    def add_node(self, identifier: FragmentId, keyword_count: int) -> None:
-        encoded = encode_identifier(identifier)
-        with self.write_batch():
-            self._connection.execute(
-                "INSERT OR REPLACE INTO nodes (id, keyword_count) VALUES (?, ?)",
-                (encoded, keyword_count),
-            )
-            # Re-adding a node resets its neighbour set, like the in-memory
-            # backend's fresh set() assignment.
-            self._connection.execute("DELETE FROM edges WHERE src = ?", (encoded,))
-            self._batch_fragments[encoded] = identifier
-
-    def _require_node(self, encoded: str, identifier: FragmentId) -> None:
-        known = self._connection.execute(
-            "SELECT 1 FROM nodes WHERE id = ?", (encoded,)
-        ).fetchone()
-        if known is None:
-            raise KeyError(identifier)
-
-    def remove_node(self, identifier: FragmentId) -> None:
-        encoded = encode_identifier(identifier)
-        with self.write_batch():
-            self._require_node(encoded, identifier)
-            self._connection.execute("DELETE FROM edges WHERE src = ?", (encoded,))
-            self._connection.execute("DELETE FROM nodes WHERE id = ?", (encoded,))
-            self._batch_fragments[encoded] = identifier
-
-    def has_node(self, identifier: FragmentId) -> bool:
-        return bool(
-            self._execute_read(
-                "SELECT 1 FROM nodes WHERE id = ?", (encode_identifier(identifier),)
-            )
-        )
-
-    def node_keyword_count(self, identifier: FragmentId) -> int:
-        rows = self._execute_read(
-            "SELECT keyword_count FROM nodes WHERE id = ?",
-            (encode_identifier(identifier),),
-        )
-        if not rows:
-            raise KeyError(identifier)
-        return rows[0][0]
-
-    def set_node_keyword_count(self, identifier: FragmentId, keyword_count: int) -> None:
-        encoded = encode_identifier(identifier)
-        with self.write_batch():
-            self._require_node(encoded, identifier)
-            self._connection.execute(
-                "UPDATE nodes SET keyword_count = ? WHERE id = ?", (keyword_count, encoded)
-            )
-            self._batch_fragments[encoded] = identifier
-
-    def node_ids(self) -> Tuple[FragmentId, ...]:
-        rows = self._execute_read("SELECT id FROM nodes")
-        return tuple(self._decode(encoded) for (encoded,) in rows)
-
-    def node_count(self) -> int:
-        return self._execute_read("SELECT COUNT(*) FROM nodes")[0][0]
-
-    def add_neighbor(self, identifier: FragmentId, neighbor: FragmentId) -> None:
-        encoded = encode_identifier(identifier)
-        with self.write_batch():
-            self._require_node(encoded, identifier)
-            self._connection.execute(
-                "INSERT OR IGNORE INTO edges (src, dst) VALUES (?, ?)",
-                (encoded, encode_identifier(neighbor)),
-            )
-            self._batch_fragments[encoded] = identifier
-
-    def discard_neighbor(self, identifier: FragmentId, neighbor: FragmentId) -> None:
-        encoded = encode_identifier(identifier)
-        with self.write_batch():
-            self._require_node(encoded, identifier)
-            self._connection.execute(
-                "DELETE FROM edges WHERE src = ? AND dst = ?",
-                (encoded, encode_identifier(neighbor)),
-            )
-            self._batch_fragments[encoded] = identifier
-
-    def neighbors(self, identifier: FragmentId) -> Tuple[FragmentId, ...]:
-        # The expansion loop reads adjacency for every page member of every
-        # dequeued pending page — the second-hottest read on the search path
-        # after sizes — so neighbour sets are cached with the same epoch
-        # validation as postings and sizes (every adjacency mutation ticks
-        # the endpoint's fragment epoch).
-        in_owned_batch = self._in_owned_batch()
-        if not in_owned_batch:
-            with self._cache_lock:
-                cached = self._neighbors_cache.get(identifier)
-                if cached is not None and self._epoch_clock.fragment_epoch(identifier) <= cached[0]:
-                    return cached[1]
-        stamp = self.epoch
-        encoded = encode_identifier(identifier)
-        rows = self._execute_read("SELECT dst FROM edges WHERE src = ?", (encoded,))
-        if not rows and not self.has_node(identifier):
-            # Only the empty-adjacency answer needs the existence probe; a
-            # node with edges is trivially known.
-            raise KeyError(identifier)
-        result = tuple(self._decode(dst) for (dst,) in rows)
-        if not in_owned_batch:
-            with self._cache_lock:
-                self._neighbors_cache[identifier] = (stamp, result)
-        return result
-
-    def edge_count(self) -> int:
-        return self._execute_read("SELECT COUNT(*) FROM edges")[0][0] // 2

@@ -12,9 +12,11 @@ monotonic counter:
   ``w in W``'s postings, so comparing the entry's stamp against
   ``max(keyword_epoch(w))`` detects seed-set and IDF staleness exactly;
 * **fragment epochs** — the epoch at which each fragment last changed in any
-  way: its postings (and therefore its size), its graph node or its adjacency.
+  way: its postings (and therefore its size), or a touch — the stamp a
+  writer puts on the chain neighbours of a fragment it inserts or removes,
+  whose derived adjacency changed with no write of their own.
   A cached result also depends on every fragment the search *consulted*
-  (members of result pages, rejected expansion candidates, neighbour sets);
+  (members of result pages, rejected expansion candidates);
   the searcher reports that dependency set and the cache compares each
   member's fragment epoch against the entry's stamp.
 
@@ -105,7 +107,7 @@ class EpochClock:
         return self._epoch
 
     def tick_fragment(self, identifier: FragmentId) -> int:
-        """The fragment changed without touching postings (node, adjacency)."""
+        """The fragment changed without touching postings (a touch)."""
         self._epoch += 1
         self._fragments[identifier] = self._epoch
         return self._epoch

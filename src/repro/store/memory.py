@@ -1,8 +1,7 @@
 """The single-partition in-memory backend.
 
 Holds exactly the dictionaries that used to live inside
-:class:`~repro.core.fragment_index.InvertedFragmentIndex` and
-:class:`~repro.core.fragment_graph.FragmentGraph`, plus a fragment -> keywords
+:class:`~repro.core.fragment_index.InvertedFragmentIndex`, plus a fragment -> keywords
 reverse map so that removing a fragment only touches the inverted lists it
 actually appears in (the seed implementation re-scanned every posting list on
 each removal, O(keywords x postings) per incremental delete).
@@ -31,7 +30,7 @@ def posting_sort_key(posting: Posting):
 
 
 class InMemoryStore(FragmentStore):
-    """All postings, sizes and adjacency in plain dictionaries."""
+    """All postings and sizes in plain dictionaries."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -50,11 +49,9 @@ class InMemoryStore(FragmentStore):
         # descending-sorted list scan finds first.
         self._fragment_keywords: Dict[FragmentId, Dict[str, int]] = {}
         self._sorted = True
-        self._nodes: Dict[FragmentId, int] = {}
-        self._adjacency: Dict[FragmentId, Set[FragmentId]] = {}
 
     # ------------------------------------------------------------------
-    # postings section — writes
+    # writes
     # ------------------------------------------------------------------
     def bulk_load(self, fragments) -> int:
         """Append whole new fragments in one locked pass (one clock tick).
@@ -146,11 +143,11 @@ class InMemoryStore(FragmentStore):
                         self._append_postings(identifier, op.term_frequencies)
                     )
                     affected_fragments.add(identifier)
-                else:  # TouchFragment: a no-op unless the fragment is new
+                else:  # TouchFragment: stamped; registered empty if new
                     if identifier not in self._fragment_sizes:
                         self._fragment_sizes[identifier] = 0
                         self._fragment_keywords[identifier] = {}
-                        affected_fragments.add(identifier)
+                    affected_fragments.add(identifier)
             if was_sorted:
                 # Only the touched lists lost their order; restore it here so
                 # the batch needs no store-wide finalize afterwards.
@@ -178,7 +175,7 @@ class InMemoryStore(FragmentStore):
             self._sorted = True
 
     # ------------------------------------------------------------------
-    # postings section — reads
+    # reads
     # ------------------------------------------------------------------
     def postings_for_many(self, keywords) -> Dict[str, Tuple[Posting, ...]]:
         """All requested inverted lists behind a single finalize check."""
@@ -214,50 +211,3 @@ class InMemoryStore(FragmentStore):
 
     def vocabulary(self) -> Tuple[str, ...]:
         return tuple(self._postings)
-
-    # ------------------------------------------------------------------
-    # graph section
-    # ------------------------------------------------------------------
-    def add_node(self, identifier: FragmentId, keyword_count: int) -> None:
-        self._nodes[identifier] = keyword_count
-        self._adjacency[identifier] = set()
-        self._epoch_clock.tick_fragment(identifier)
-
-    def remove_node(self, identifier: FragmentId) -> None:
-        del self._adjacency[identifier]
-        del self._nodes[identifier]
-        self._epoch_clock.tick_fragment(identifier)
-
-    def has_node(self, identifier: FragmentId) -> bool:
-        return identifier in self._nodes
-
-    def node_keyword_count(self, identifier: FragmentId) -> int:
-        return self._nodes[identifier]
-
-    def set_node_keyword_count(self, identifier: FragmentId, keyword_count: int) -> None:
-        if identifier not in self._nodes:
-            raise KeyError(identifier)
-        self._nodes[identifier] = keyword_count
-        self._epoch_clock.tick_fragment(identifier)
-
-    def node_ids(self) -> Tuple[FragmentId, ...]:
-        return tuple(self._nodes)
-
-    def node_count(self) -> int:
-        return len(self._nodes)
-
-    def add_neighbor(self, identifier: FragmentId, neighbor: FragmentId) -> None:
-        # Only ``identifier``'s neighbour set changes here; add_edge ticks the
-        # other endpoint through its own add_neighbor call.
-        self._adjacency[identifier].add(neighbor)
-        self._epoch_clock.tick_fragment(identifier)
-
-    def discard_neighbor(self, identifier: FragmentId, neighbor: FragmentId) -> None:
-        self._adjacency[identifier].discard(neighbor)
-        self._epoch_clock.tick_fragment(identifier)
-
-    def neighbors(self, identifier: FragmentId) -> Tuple[FragmentId, ...]:
-        return tuple(self._adjacency[identifier])
-
-    def edge_count(self) -> int:
-        return sum(len(neighbors) for neighbors in self._adjacency.values()) // 2

@@ -10,8 +10,8 @@ section:
   when the new set is empty),
 * :class:`RemoveFragment` — drop one fragment's size entry and every posting
   of it (a no-op when the fragment is unknown),
-* :class:`TouchFragment` — register a fragment with size 0 when it is not
-  stored yet (a no-op otherwise).
+* :class:`TouchFragment` — stamp one fragment as changed without changing
+  its postings (registering it with size 0 when it is not stored yet).
 
 :meth:`repro.store.FragmentStore.apply_mutations` applies a whole batch as
 one store operation: a single dictionary pass in
@@ -61,7 +61,12 @@ class RemoveFragment:
 
 @dataclass(frozen=True)
 class TouchFragment:
-    """Register one fragment with size 0 if it is not stored yet."""
+    """Stamp one fragment's epoch, registering it with size 0 if it is not stored yet.
+
+    A stored fragment keeps its postings; only its fragment epoch moves.
+    That is how a writer invalidates cached answers whose derived state —
+    chain adjacency — changed without the fragment's own data changing.
+    """
 
     identifier: FragmentId
 
@@ -149,8 +154,8 @@ def coalesce_mutations(batch: Iterable[Mutation]) -> List[Mutation]:
             ops.clear()
             ops.append(op)
         elif not ops or isinstance(ops[-1], RemoveFragment):
-            # A touch after a replace is always a no-op (replace registers);
-            # after a remove it re-registers the fragment empty.
+            # A touch after a replace is redundant (the replace registers and
+            # stamps); after a remove it re-registers the fragment empty.
             ops.append(op)
     coalesced: List[Mutation] = []
     for ops in slots.values():

@@ -1,8 +1,8 @@
 """Backend-independent store snapshots (build once, reuse everywhere).
 
 A snapshot is one JSON file capturing everything a
-:class:`~repro.store.FragmentStore` holds — postings, fragment sizes, graph
-nodes, adjacency and the full :class:`~repro.store.EpochClock` state.  It is
+:class:`~repro.store.FragmentStore` holds — postings, fragment sizes and the
+full :class:`~repro.store.EpochClock` state.  It is
 written atomically (temp file in the target directory, then ``os.replace``)
 so a crash mid-write leaves the previous snapshot intact, and it restores
 into *any* backend: benchmarks build a dataset once in memory, snapshot it,
@@ -21,7 +21,9 @@ directories (summaries plus delta+varint BLOBs) are a pure function of the
 sorted posting lists and fragment sizes, so restoration bulk-loads the
 postings and every backend rebuilds bit-identical blocks on its own.  That keeps
 ``FORMAT_VERSION`` at 1 — files written before the block layout existed
-restore unchanged, and block-format evolution never invalidates snapshots.
+restore unchanged, and block-format evolution never invalidates snapshots.  Files written while
+the store still held the fragment graph carry ``nodes`` / ``edges`` sections
+as well; restoration ignores them (the graph is derived from the fragments).
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ def write_snapshot(store, path: str) -> str:
 
     store.finalize()
     epoch, keyword_epochs, fragment_epochs = store.epochs.state()
-    for identifier in list(store.fragment_sizes()) + list(store.node_ids()):
+    sizes = store.fragment_sizes()
+    for identifier in sizes:
         # Same contract as the disk backend: a nested-tuple component would
         # serialize as an array and restore as an unequal list.
         check_identifier_components(identifier)
@@ -54,16 +57,7 @@ def write_snapshot(store, path: str) -> str:
             for keyword, postings in store.iter_items()
         ],
         "sizes": [
-            [list(identifier), size] for identifier, size in store.fragment_sizes().items()
-        ],
-        "nodes": [
-            [list(identifier), store.node_keyword_count(identifier)]
-            for identifier in store.node_ids()
-        ],
-        "edges": [
-            [list(identifier), list(neighbor)]
-            for identifier in store.node_ids()
-            for neighbor in store.neighbors(identifier)
+            [list(identifier), size] for identifier, size in sizes.items()
         ],
         "epochs": {
             "epoch": epoch,
@@ -117,14 +111,14 @@ def load_snapshot(
         )
     created = not isinstance(store, FragmentStore)
     target = resolve_store(store, path=store_path)
-    if target.fragment_count() or target.node_count():
+    if target.fragment_count():
         raise StoreError("snapshots must be restored into an empty store")
 
     try:
         # Regroup the keyword-major postings into whole fragments — the
         # sizes list registers every fragment, including postings-free ones
-        # — and load them and the graph section as one write batch; the
-        # exact clock state then goes on top of whatever the replay ticked.
+        # — and load them as one write batch; the exact clock state then
+        # goes on top of whatever the replay ticked.
         expected_sizes = {tuple(identifier): size for identifier, size in payload["sizes"]}
         fragments = regroup_posting_lists(payload["postings"], expected_sizes)
         with target.write_batch():
@@ -138,10 +132,6 @@ def load_snapshot(
                     f"snapshot {path!r} is inconsistent: stored fragment sizes do not "
                     "match the sizes its postings re-accumulate to"
                 )
-            for identifier, keyword_count in payload["nodes"]:
-                target.add_node(tuple(identifier), keyword_count)
-            for identifier, neighbor in payload["edges"]:
-                target.add_neighbor(tuple(identifier), tuple(neighbor))
         target.finalize()
         epochs = payload["epochs"]
         target.load_epochs(

@@ -4,10 +4,12 @@
 candidates on an admissible bound; a test that compares the searcher with
 itself cannot catch a mistake in either.  This module shares neither: every
 seed is scored up front, every expansion candidate re-scores the whole
-assembled page with the reference :meth:`DashScorer.score`, and page members,
-candidates and adjacency are re-derived from nothing at every dequeue.  The
-only things taken from the product are the definitions both sides must agree
-on — the reference scorer, the fragment graph's adjacency, and the identifier
+assembled page with the reference :meth:`DashScorer.score`, and page members
+and candidates are re-derived from nothing at every dequeue.  Adjacency is
+derived here too, from the paper's definition (Section VI-A): the fragments
+of one equality group sorted by their range values form a path.  The only
+things taken from the product are the definitions both sides must agree on —
+the reference scorer, the equality group of a fragment, and the identifier
 order that the queue's content-derived tie-breaks
 (:data:`repro.core.search.QueueEntry`) are made of.
 """
@@ -16,6 +18,27 @@ import heapq
 
 from repro.core.fragments import identifier_order
 from repro.core.scoring import DashScorer
+from repro.db.query import BetweenCondition
+
+
+def chain_neighbors(index, graph):
+    """Every stored fragment's neighbours: positions ± 1 of its equality
+    group sorted by range value (none without a range condition)."""
+    ranges = [
+        position
+        for position, condition in enumerate(graph.query.conditions)
+        if isinstance(condition, BetweenCondition)
+    ]
+    groups = {}
+    for identifier in index.store.fragment_ids():
+        groups.setdefault(graph.group_key(identifier), []).append(identifier)
+    neighbors = {}
+    for members in groups.values():
+        members.sort(key=lambda member: identifier_order(tuple(member[at] for at in ranges)))
+        for position, member in enumerate(members):
+            adjacent = members[max(position - 1, 0) : position] + members[position + 1 : position + 2]
+            neighbors[member] = tuple(adjacent) if ranges else ()
+    return neighbors
 
 
 def oracle_search(index, graph, keywords, k, size_threshold):
@@ -27,6 +50,7 @@ def oracle_search(index, graph, keywords, k, size_threshold):
     """
     canonical = tuple(dict.fromkeys(str(keyword).lower() for keyword in keywords))
     scorer = DashScorer(index, canonical)
+    adjacency = chain_neighbors(index, graph)
 
     def page_of(fragments):
         return tuple(sorted(fragments, key=identifier_order))
@@ -50,7 +74,7 @@ def oracle_search(index, graph, keywords, k, size_threshold):
                 dict.fromkeys(
                     neighbor
                     for member in fragments
-                    for neighbor in graph.neighbors(member)
+                    for neighbor in adjacency[member]
                     if neighbor not in fragments
                 )
             )

@@ -29,9 +29,8 @@ from repro.core.fragment_index import InvertedFragmentIndex
 from repro.core.search import TopKSearcher
 from repro.core.urls import UrlFormulator
 from repro.datasets.fooddb import build_fooddb, fooddb_search_query
-from repro.store.base import StoreError
 from repro.store.memory import InMemoryStore
-from repro.store.mutations import RemoveFragment, ReplaceFragment
+from repro.store.mutations import RemoveFragment, ReplaceFragment, TouchFragment
 from repro.webapp.request import QueryStringSpec
 
 QUERY = fooddb_search_query(build_fooddb())
@@ -101,10 +100,10 @@ QUERIES = (
 class TestPartitioning:
     def test_chains_never_cross_partitions(self):
         """Graph-adjacent fragments must share a partition (db-page locality)."""
-        store, _searcher = build_corpus(synthetic_corpus(60, seed=3))
+        store, searcher = build_corpus(synthetic_corpus(60, seed=3))
         partitioner = GroupPartitioner(QUERY, 4)
-        for identifier in store.node_ids():
-            for neighbor in store.neighbors(identifier):
+        for identifier in store.fragment_ids():
+            for neighbor in searcher.graph.neighbors(identifier):
                 assert partitioner.partition_of(neighbor) == partitioner.partition_of(
                     identifier
                 )
@@ -164,23 +163,6 @@ class TestClusterStore:
         finally:
             cluster.close()
 
-    def test_cross_partition_edge_is_rejected(self):
-        store, _searcher = build_corpus(synthetic_corpus(40, seed=5))
-        cluster = SearchCluster.build(QUERY, SPEC, URI, store, nodes=4)
-        try:
-            partitioner = cluster.partitioner
-            identifiers = store.fragment_ids()
-            crossing = next(
-                (left, right)
-                for left in identifiers
-                for right in identifiers
-                if partitioner.partition_of(left) != partitioner.partition_of(right)
-            )
-            with pytest.raises(StoreError):
-                cluster.store.add_neighbor(*crossing)
-        finally:
-            cluster.close()
-
     def test_populate_keeps_duplicate_postings(self):
         """Re-partitioning regroups the source's inverted lists, so duplicate
         (keyword, fragment) postings arrive as the separate postings they are."""
@@ -208,8 +190,7 @@ class TestClusterStore:
                     [ReplaceFragment(identifier, (("zzz", 2),)) for identifier in identifiers[:8]]
                 )
                 with facade.write_batch():
-                    for identifier in identifiers:
-                        facade.set_node_keyword_count(identifier, 2)
+                    facade.apply_mutations([TouchFragment(identifier) for identifier in identifiers])
                 # deferred: a stamp taken now must not cover uncommitted data
                 assert facade.epoch == epoch
                 if backend == "disk":
@@ -225,10 +206,10 @@ class TestClusterStore:
             # a failed batch still ticks (in-memory primaries cannot roll back)
             with pytest.raises(RuntimeError):
                 with facade.write_batch():
-                    facade.set_node_keyword_count(identifiers[0], 3)
+                    facade.apply_mutations([ReplaceFragment(identifiers[0], (("yyy", 3),))])
                     raise RuntimeError("boom")
             assert facade.epoch == epoch + 2
-            assert facade.node_keyword_count(identifiers[0]) == (2 if backend == "disk" else 3)
+            assert facade.fragment_size(identifiers[0]) == (2 if backend == "disk" else 3)
         finally:
             cluster.close()
 
@@ -293,11 +274,6 @@ class TestRoutedParity:
             ]
             store.apply_mutations(burst)
             cluster.store.apply_mutations(burst)
-            # Store-level mutations do not maintain the graph (that is the
-            # incremental maintainer's job); register the new fragment's
-            # node on both sides the way the write path would.
-            store.add_node(("CuisineNEW", 5), 2)
-            cluster.store.add_node(("CuisineNEW", 5), 2)
             assert_parity(searcher, cluster, QUERIES)
             assert cluster.sync_replicas() > 0
             assert cluster.sync_replicas() == 0  # now fresh: idempotent
@@ -532,8 +508,6 @@ def test_routed_cluster_equals_single_store(backend, fragments, keywords, k, tmp
                 ]
                 store.apply_mutations(burst)
                 cluster.store.apply_mutations(burst)
-                store.add_node(("CuisineE", 6), 1)
-                cluster.store.add_node(("CuisineE", 6), 1)
                 assert_parity(searcher, cluster, (keywords, ["burger"]), k=k)
                 partition = data.draw(
                     st.integers(min_value=0, max_value=cluster.partition_count - 1),
@@ -748,8 +722,6 @@ def test_warm_stats_cache_parity_across_mutation_bursts(fragments, keywords, k, 
         ]
         store.apply_mutations(burst)
         cluster.store.apply_mutations(burst)
-        store.add_node(("CuisineE", 6), 1)
-        cluster.store.add_node(("CuisineE", 6), 1)
         assert_parity(searcher, cluster, queries + (["coffee"], ["extra"]), k=k)
         # warm again after the burst — still byte-identical
         assert_parity(searcher, cluster, queries + (["coffee"], ["extra"]), k=k)

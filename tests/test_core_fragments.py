@@ -24,8 +24,16 @@ def fooddb_index(fooddb_fragments):
 
 
 @pytest.fixture(scope="module")
-def fooddb_graph(search_query, fooddb_fragments):
-    return FragmentGraph.build(search_query, fragment_sizes(fooddb_fragments))
+def fooddb_graph(search_query, fooddb_index, fooddb_fragments):
+    return FragmentGraph.build(
+        search_query, fragment_sizes(fooddb_fragments), store=fooddb_index.store
+    )
+
+
+def _chain_graph(search_query, fragments):
+    """A graph over a fresh index holding ``fragments``."""
+    index = InvertedFragmentIndex.from_fragments(fragments)
+    return index, FragmentGraph(search_query, store=index.store)
 
 
 class TestFragmentDerivation:
@@ -183,22 +191,28 @@ class TestFragmentGraph:
         assert len(component) == 4
         assert ("Thai", 10) not in component
 
-    def test_incremental_insertion_splits_edges(self, search_query):
-        graph = FragmentGraph(search_query)
-        graph.add_fragment(("American", 9), 8)
-        graph.add_fragment(("American", 18), 8)
+    def test_incremental_insertion_splits_edges(self, search_query, fooddb_fragments):
+        index = InvertedFragmentIndex()
+        graph = FragmentGraph(search_query, store=index.store)
+        for identifier in (("American", 9), ("American", 18)):
+            index.add_fragment(identifier, fooddb_fragments[identifier].term_frequencies)
         assert graph.are_connected(("American", 9), ("American", 18))
-        graph.add_fragment(("American", 12), 17)
+        index.add_fragment(("American", 12), fooddb_fragments[("American", 12)].term_frequencies)
         assert not graph.are_connected(("American", 9), ("American", 18))
         assert graph.are_connected(("American", 9), ("American", 12))
         assert graph.are_connected(("American", 12), ("American", 18))
 
-    def test_incremental_equals_presorted(self, search_query, fooddb_fragments):
+    def test_incremental_equals_presorted(self, search_query, fooddb_index, fooddb_fragments):
+        """Fragments inserted one at a time, in any order, form the chains a
+        pre-sorted build over the same store would."""
         sizes = fragment_sizes(fooddb_fragments)
-        incremental = FragmentGraph.build(search_query, sizes, presorted=False)
-        presorted = FragmentGraph.build(search_query, sizes, presorted=True)
+        presorted = FragmentGraph.build(search_query, sizes, store=fooddb_index.store)
+        index = InvertedFragmentIndex()
+        incremental = FragmentGraph(search_query, store=index.store)
+        for identifier in sorted(sizes, key=str, reverse=True):
+            index.add_fragment(identifier, fooddb_fragments[identifier].term_frequencies)
         for identifier in sizes:
-            assert set(incremental.neighbors(identifier)) == set(presorted.neighbors(identifier))
+            assert incremental.neighbors(identifier) == presorted.neighbors(identifier)
 
     def test_presorting_saves_comparisons(self, search_query, fooddb_fragments):
         sizes = fragment_sizes(fooddb_fragments)
@@ -207,22 +221,27 @@ class TestFragmentGraph:
         assert presorted.comparisons <= incremental.comparisons
 
     def test_remove_fragment_reconnects_chain(self, search_query, fooddb_fragments):
-        graph = FragmentGraph.build(search_query, fragment_sizes(fooddb_fragments))
-        graph.remove_fragment(("American", 12))
+        index, graph = _chain_graph(search_query, fooddb_fragments)
+        index.remove_fragment(("American", 12))
         assert graph.are_connected(("American", 10), ("American", 18))
+        assert graph.edge_count == 2
 
-    def test_duplicate_fragment_rejected(self, search_query):
-        graph = FragmentGraph(search_query)
-        graph.add_fragment(("American", 9), 8)
-        with pytest.raises(FragmentGraphError):
-            graph.add_fragment(("American", 9), 8)
+    def test_duplicate_fragment_rejected(self, search_query, fooddb_fragments):
+        """A fragment enters its chain once: a second copy is refused."""
+        index, graph = _chain_graph(search_query, fooddb_fragments)
+        with pytest.raises(ValueError):
+            index.add_fragment(("American", 9), {"again": 1})
+        assert graph.neighbors(("American", 9)) == (("American", 10),)
+        assert graph.fragment_count == 5
 
     def test_unknown_fragment_raises(self, fooddb_graph):
         with pytest.raises(FragmentGraphError):
             fooddb_graph.neighbors(("French", 1))
 
-    def test_build_with_report(self, search_query, fooddb_fragments):
-        graph, report = FragmentGraph.build_with_report(search_query, fragment_sizes(fooddb_fragments))
+    def test_build_with_report(self, search_query, fooddb_index, fooddb_fragments):
+        graph, report = FragmentGraph.build_with_report(
+            search_query, fragment_sizes(fooddb_fragments), store=fooddb_index.store
+        )
         assert report.fragment_count == 5
         assert report.edge_count == graph.edge_count
         assert report.average_keywords == pytest.approx(51 / 5)

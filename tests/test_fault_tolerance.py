@@ -303,7 +303,7 @@ class TestQueryFailover:
         cluster, plane = build_chaos_cluster(store, nodes=4, replicas=2, seed=3)
         try:
             victim = primary_of(cluster, 0)
-            for operation in ("postings_for_many", "posting_blocks_for_many", "neighbors"):
+            for operation in ("postings_for_many", "posting_blocks_for_many"):
                 plane.add_rule(
                     FaultRule(kind="error", node=victim, operation=operation, nth=2)
                 )

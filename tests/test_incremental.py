@@ -23,7 +23,7 @@ def maintained():
     query = fooddb_search_query(database)
     fragments = derive_fragments(query, database)
     index = InvertedFragmentIndex.from_fragments(fragments)
-    graph = FragmentGraph.build(query, fragment_sizes(fragments))
+    graph = FragmentGraph.build(query, fragment_sizes(fragments), store=index.store)
     maintainer = IncrementalMaintainer(query, database, index, graph)
     return database, query, index, graph, maintainer
 

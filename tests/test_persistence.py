@@ -21,8 +21,8 @@ import pytest
 
 from repro.core.engine import DashEngine, DashEngineError
 from repro.core.incremental import IncrementalMaintainer
-from repro.store import DiskStore, EpochClock, InMemoryStore
-from repro.store.disk import decode_identifier, encode_identifier
+from repro.store import DiskStore, EpochClock, InMemoryStore, StoreError
+from repro.store.disk import SCHEMA_VERSION, decode_identifier, encode_identifier
 from repro.store.mutations import RemoveFragment, ReplaceFragment, TouchFragment
 
 
@@ -218,6 +218,45 @@ class TestFileLayout:
         ).store.close()
         for path in (built, distributed):
             assert _file_query(path, "PRAGMA freelist_count") == [(0,)], path
+
+    def test_built_files_hold_no_graph_tables(self, search_spec, tmp_path):
+        """Chain adjacency is derived from the identifiers: a schema-v3 file
+        stores no ``nodes`` / ``edges`` table."""
+        from repro.datasets.fooddb import build_fooddb, fooddb_search_query
+        from repro.webapp.application import WebApplication
+
+        database = build_fooddb()
+        application = WebApplication(
+            name="Search",
+            uri="www.example.com/Search",
+            query=fooddb_search_query(database),
+            query_string_spec=search_spec,
+        )
+        path = str(tmp_path / "built.sqlite")
+        engine = DashEngine.build(application, database, store="disk", store_path=path)
+        assert engine.graph.edge_count == 3  # Figure 9's American chain
+        engine.store.close()
+        tables = {name for (name,) in _file_query(path, "SELECT name FROM sqlite_schema")}
+        assert not tables & {"nodes", "edges"}, tables
+        assert _file_query(path, "PRAGMA user_version") == [(SCHEMA_VERSION,)] == [(3,)]
+
+    def test_schema_v2_file_is_refused_naming_both_versions(self, tmp_path):
+        path = str(tmp_path / "v2.sqlite")
+        with DiskStore(path) as store:
+            store.bulk_load([(("Thai", 10), {"spicy": 2})])
+        # what a schema-v2 writer left: the same tables plus the stored graph
+        connection = sqlite3.connect(path)
+        connection.executescript(
+            "CREATE TABLE nodes (id TEXT PRIMARY KEY, keyword_count INTEGER NOT NULL);"
+            "CREATE TABLE edges (src TEXT NOT NULL, dst TEXT NOT NULL, PRIMARY KEY (src, dst));"
+            "PRAGMA user_version = 2;"
+        )
+        connection.close()
+        for read_only in (False, True):
+            with pytest.raises(
+                StoreError, match="uses schema version 2, this build reads version 3"
+            ):
+                DiskStore(path, create=False, read_only=read_only)
 
     def test_file_with_main_schema_staging_tables_still_serves(self, tmp_path):
         # a file written before the staged log moved to TEMP tables carries

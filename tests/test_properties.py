@@ -183,7 +183,8 @@ def test_fragment_sizes_equal_page_keyword_counts(database):
 def test_fragment_graph_is_a_union_of_paths(database):
     query = _search_query(database)
     fragments = derive_fragments(query, database)
-    graph = FragmentGraph.build(query, fragment_sizes(fragments))
+    index = InvertedFragmentIndex.from_fragments(fragments)
+    graph = FragmentGraph.build(query, fragment_sizes(fragments), store=index.store)
     assert graph.fragment_count == len(fragments)
     for identifier in fragments:
         neighbors = graph.neighbors(identifier)

@@ -27,16 +27,19 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
 from oracle import oracle_search
+from repro.core.engine import DashEngine
 from repro.core.fragment_graph import FragmentGraph
 from repro.core.fragment_index import InvertedFragmentIndex
 from repro.core.fragments import identifier_order
+from repro.core.incremental import IncrementalMaintainer
 from repro.core.scoring import DashScorer
 from repro.core.search import TopKSearcher
 from repro.core.urls import UrlFormulator
 from repro.datasets.fooddb import build_fooddb, fooddb_search_query
 from repro.serving import SearchService
 from repro.store import DiskStore, InMemoryStore
-from repro.store.mutations import replace_op
+from repro.store.mutations import RemoveFragment, replace_op
+from repro.webapp.application import WebApplication
 from repro.webapp.request import QueryStringSpec
 
 QUERY = fooddb_search_query(build_fooddb())
@@ -250,14 +253,10 @@ class TestIndependentOracle:
             # prefer the groups a search could have judged: those holding a seed
             seeded = {graph.group_key(f) for f in DashScorer(index, keywords).relevant_fragments()}
             target = rng.choice([f for f in outside if graph.group_key(f) in seeded] or outside)
-        with index.store.write_batch():
-            if mutation == "remove":
-                index.remove_fragment(target)
-                graph.remove_fragment(target)
-            else:
-                index.store.apply_mutations([replace_op(target, filler)])
-                if mutation == "add":
-                    graph.add_fragment(target, sum(filler.values()))
+        # the write path's batch: the op plus touches of the chain
+        # neighbours it moves, when it inserts or removes a fragment
+        batch = [RemoveFragment(target) if mutation == "remove" else replace_op(target, filler)]
+        index.store.apply_mutations(batch + graph.neighbor_touches(batch))
         expected, _ = oracle_search(index, graph, keywords, k, size_threshold)
         after = searcher.search_detailed(keywords, **parameters)
         assert [(r.fragments, r.score, r.size) for r in after.results] == expected
@@ -271,6 +270,41 @@ class TestIndependentOracle:
             assert _result_tuples(after.results) == before
         service.close()
         index.store.close()
+
+    @pytest.mark.parametrize("backend", ["memory", "disk"])
+    def test_a_fragment_inserted_between_consulted_members_drops_the_cached_answer(
+        self, backend, tmp_path
+    ):
+        """Adjacency is derived: inserting a fragment changes no data of its
+        neighbours.  The burger page ``(American, 10)`` + ``(American, 12)``
+        consulted both members; a keyword-free restaurant at budget 11
+        splits them, and the cached page must go — the maintainer's batch
+        touches the new fragment's chain neighbours."""
+        database = build_fooddb()
+        application = WebApplication(
+            name="Search", uri=URI, query=fooddb_search_query(database), query_string_spec=SPEC
+        )
+        path = str(tmp_path / "store.sqlite") if backend == "disk" else None
+        engine = DashEngine.build(application, database, store=backend, store_path=path)
+        maintainer = IncrementalMaintainer(application.query, database, engine.index, engine.graph)
+        service = engine.serving(cache_size=8, workers=1)
+        parameters = {"k": 2, "size_threshold": 20}
+        before = service.search(["burger"], **parameters)
+        page = (("American", 10), ("American", 12))
+        assert before.results[0].fragments == page
+        assert service.search(["burger"], **parameters).cached
+        stale_drops = service.statistics()["cache"]["stale_drops"]
+        maintainer.insert("restaurant", ("009", "Grill House", "American", 11, 3.5))
+        assert engine.graph.neighbors(("American", 11)) == page
+        assert engine.store.fragment_epoch(page[0]) == engine.store.epoch
+        after = service.search(["burger"], **parameters)
+        assert not after.cached
+        assert service.statistics()["cache"]["stale_drops"] == stale_drops + 1
+        expected, _ = oracle_search(engine.index, engine.graph, ["burger"], **parameters)
+        assert [(r.fragments, r.score, r.size) for r in after.results] == expected
+        assert _result_tuples(after.results) != _result_tuples(before.results)
+        service.close()
+        engine.store.close()
 
     @pytest.mark.parametrize("store_factory", [InMemoryStore, _disk_store])
     def test_a_shrunk_irrelevant_member_reopens_its_group(self, store_factory):
@@ -291,9 +325,7 @@ class TestIndependentOracle:
             if winner == "B":
                 assert detailed.statistics.groups_pruned == 1
                 assert {("C", 1), ("C", 2)} <= detailed.dependencies
-                with index.store.write_batch():
-                    index.store.apply_mutations([replace_op(("C", 2), {"pad": 2})])
-                    graph.update_keyword_count(("C", 2), 2)
+                index.store.apply_mutations([replace_op(("C", 2), {"pad": 2})])
         service.close()
         index.store.close()
 

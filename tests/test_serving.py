@@ -357,7 +357,7 @@ class TestSessionReuse:
         engine.search(["burger"], k=2, size_threshold=20)
         # the next search revalidated the searcher's cache: it was replaced
         # and the scorer rebuilt against the post-update store state
-        assert engine.searcher._identifiers.epoch == (engine.store.epoch, engine.store.epoch)
+        assert engine.searcher._identifiers.epoch == engine.store.epoch
         assert engine.searcher.lifetime_statistics()["scorer_builds"] == builds_before + 1
 
 
@@ -419,9 +419,10 @@ class TestStoreEpochs:
         assert store.keyword_epoch("w") == first
         assert store.fragment_epoch(("a",)) == first
         assert store.keyword_epoch("other") == 0
-        store.add_node(("a",), 2)
+        store.touch_fragment(("a",))
         assert store.fragment_epoch(("a",)) > first
-        assert store.keyword_epoch("w") == first  # graph ops do not touch keywords
+        assert store.keyword_epoch("w") == first  # a touch does not touch keywords
+        assert store.postings("w")[0].term_frequency == 2
 
     def test_replace_fragment_bumps_old_and_new_keywords(self):
         store = InMemoryStore()

@@ -34,6 +34,8 @@ from repro.store import (
     FragmentStore,
     InMemoryStore,
     StoreError,
+    TouchFragment,
+    replace_op,
     resolve_store,
 )
 from repro.webapp.request import QueryStringSpec
@@ -199,16 +201,16 @@ class TestStoreSemantics:
         assert store.fragment_size(("a", 1)) == 5
         assert [tuple(p) for p in store.postings("foo")] == [(("a", 1), 3), (("a", 1), 2)]
 
-    def test_graph_section_independent_of_postings(self, make_store):
+    def test_touch_stamps_a_stored_fragment_and_keeps_its_postings(self, make_store):
         store = make_store()
-        store.add_node(("a", 1), 8)
-        store.add_node(("a", 2), 9)
-        store.add_edge(("a", 1), ("a", 2))
-        assert store.edge_count() == 1
-        assert set(store.neighbors(("a", 1))) == {("a", 2)}
-        assert store.fragment_count() == 0  # postings section untouched
-        store.remove_edge(("a", 1), ("a", 2))
-        assert store.edge_count() == 0
+        store.bulk_load([(("a", 1), {"kw": 8})])
+        before = store.epoch
+        store.apply_mutations([TouchFragment(("a", 1)), TouchFragment(("a", 2))])
+        assert store.epoch == before + 1
+        assert store.fragment_epoch(("a", 1)) == store.fragment_epoch(("a", 2)) == store.epoch
+        assert store.keyword_epoch("kw") == before  # no posting moved
+        assert [tuple(p) for p in store.postings("kw")] == [(("a", 1), 8)]
+        assert store.fragment_sizes() == {("a", 1): 8, ("a", 2): 0}
 
 
 def test_index_replace_matches_add_for_case_colliding_keys():
@@ -378,26 +380,30 @@ class TestWriteVocabulary:
             assert store.fragment_count() == 2
 
     def test_failed_graph_batch_rolls_back_file_and_clock(self, tmp_path):
+        """A batch that inserts a fragment into a chain — the op plus the
+        touches of its chain neighbours — rolls back whole, touches included."""
         import sqlite3
 
         path = str(tmp_path / "graph.sqlite")
         store = DiskStore(path)
-        store.bulk_load([(("a", 1), {"kw": 2}), (("a", 2), {"kw": 1, "other": 3})])
+        store.bulk_load([(("a", 1), {"kw": 2}), (("a", 3), {"kw": 1, "other": 3})])
+        graph = FragmentGraph(fooddb_search_query(build_fooddb()), store=store)
         state, clock = _store_state(store), store.epochs.state()
+        batch = [replace_op(("a", 2), {"kw": 4})]
+        touches = graph.neighbor_touches(batch)
+        assert touches == [TouchFragment(("a", 1)), TouchFragment(("a", 3))]
 
         class Boom(RuntimeError):
             pass
 
         with pytest.raises(Boom):
             with store.write_batch():
-                store.add_node(("a", 1), 2)
-                store.add_node(("a", 2), 4)
-                store.add_edge(("a", 1), ("a", 2))
-                assert store.edge_count() == 1  # the owner sees its staged rows
+                store.apply_mutations(batch + touches)
+                assert store.fragment_count() == 3  # the owner sees its staged rows
                 raise Boom()
-        assert store.node_count() == 0 and store.edge_count() == 0
         assert store.epochs.state() == clock
         assert _store_state(store) == state
+        assert graph.neighbors(("a", 1)) == (("a", 3),)
 
         def file_rows(table):
             connection = sqlite3.connect(path)
@@ -406,12 +412,13 @@ class TestWriteVocabulary:
             finally:
                 connection.close()
 
-        assert file_rows("nodes") == 0 and file_rows("edges") == 0
+        assert file_rows("fragments") == 2 and file_rows("fragment_epochs") == 2
         # the next batch commits normally — and commits a compacted file
         with store.write_batch():
-            store.replace_fragment(("a", 2), {"kw": 5})
-            store.add_node(("a", 2), 5)
+            store.apply_mutations(batch + touches)
         assert store.epoch == clock[0] + 1
+        assert all(store.fragment_epoch(("a", at)) == store.epoch for at in (1, 2, 3))
+        assert graph.neighbors(("a", 1)) == (("a", 2),)
         connection = sqlite3.connect(path)
         try:
             tables = {name for (name,) in connection.execute("SELECT name FROM sqlite_schema")}
@@ -419,9 +426,10 @@ class TestWriteVocabulary:
             connection.close()
         # the staged log is connection-local: the file holds no staging table
         assert not tables & {"staged_postings", "pending_removals"}, tables
-        assert file_rows("nodes") == 1
         reference = InMemoryStore()
-        reference.bulk_load([(("a", 1), {"kw": 2}), (("a", 2), {"kw": 5})])
+        reference.bulk_load(
+            [(("a", 1), {"kw": 2}), (("a", 3), {"kw": 1, "other": 3}), (("a", 2), {"kw": 4})]
+        )
         assert _store_state(store) == _store_state(reference)
         store.close()
         reopened = DiskStore(path, create=False)
@@ -736,15 +744,50 @@ class TestSnapshots:
         restored = FragmentStore.from_snapshot(path, store=target)
         assert dict(restored.iter_items()) == dict(populated.iter_items())
         assert restored.fragment_sizes() == populated.fragment_sizes()
-        assert set(restored.node_ids()) == set(populated.node_ids())
-        assert restored.edge_count() == populated.edge_count()
-        for identifier in populated.node_ids():
-            assert set(restored.neighbors(identifier)) == set(populated.neighbors(identifier))
-            assert restored.node_keyword_count(identifier) == populated.node_keyword_count(
-                identifier
-            )
         # the clock travels with the data, exactly
         assert restored.epochs.state() == populated.epochs.state()
+
+    def test_payload_with_graph_sections_restores_the_same_results(self, populated, tmp_path):
+        """Snapshots written while the store held the fragment graph carry
+        ``nodes`` / ``edges`` sections: they restore, ignored, and search
+        exactly like a snapshot without them."""
+        import json
+
+        query = fooddb_search_query(build_fooddb())
+        graph = FragmentGraph(query, store=populated)
+        path = str(tmp_path / "store.snapshot")
+        populated.snapshot(path)
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        assert not {"nodes", "edges"} & set(payload)
+        payload["nodes"] = [[list(f), size] for f, size in populated.fragment_sizes().items()]
+        payload["edges"] = [
+            [list(f), list(neighbor)] for f in populated.fragment_ids() for neighbor in graph.neighbors(f)
+        ]
+        legacy = str(tmp_path / "legacy.snapshot")
+        with open(legacy, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        answers = []
+        for snapshot in (path, legacy):
+            restored = FragmentStore.from_snapshot(snapshot, store="disk", store_path=snapshot + ".sqlite")
+            searcher = TopKSearcher(
+                InvertedFragmentIndex(store=restored),
+                FragmentGraph(query, store=restored),
+                UrlFormulator(query, SPEC, "example.com/Search"),
+            )
+            answers.append(
+                [_result_tuples(searcher.search(keywords, k=5, size_threshold=s))
+                 for keywords in (["burger"], ["spicy", "noodle"], ["good"]) for s in (5, 20)]
+            )
+            restored.close()
+        reference = TopKSearcher(
+            InvertedFragmentIndex(store=populated), graph, UrlFormulator(query, SPEC, "example.com/Search")
+        )
+        assert answers[0] == answers[1] == [
+            _result_tuples(reference.search(keywords, k=5, size_threshold=s))
+            for keywords in (["burger"], ["spicy", "noodle"], ["good"]) for s in (5, 20)
+        ]
+        assert any(answers[0])
 
     def test_snapshot_from_disk_store(self, populated, tmp_path):
         sqlite_path = str(tmp_path / "restored.sqlite")
